@@ -143,9 +143,9 @@ def _a_choices(prefix_min, lows, hi, total):
     lo = max(prefix_min, lows[0])
     for v in range(lo, hi + 1):
         rest = total - v
-        if rest < 0:
-            break
-        if rest > hi * (k - 1) or rest < sum(max(v, w) for w in lows[1:]):
+        if rest < sum(max(v, w) for w in lows[1:]):
+            break  # rest falls and the tail's least sum grows with v
+        if rest > hi * (k - 1):
             continue
         for tail in _a_choices(v, lows[1:], hi, rest):
             yield (v,) + tail

@@ -312,6 +312,10 @@ def deform_family(small: BettiPair, big: BettiPair, prime: int, seed) -> DeformF
     plus the identity on the common summand into the big shape, and returns
     the evaluator t -> psi + t * phi'.  At t = 0 the fiber is psi; at
     generic nonzero t the fiber minimizes to the small pair.
+
+    Postcondition: ``psi`` is a minimal presentation of the big pair (every
+    entry of degree <= 0 is zero) and ``verify_bundle(psi)`` is true, so the
+    fiber at 0 needs no minimization or verification of its own.
     """
     c = generalization_witness(small, big)
     if c is None:

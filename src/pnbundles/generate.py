@@ -12,10 +12,14 @@ from .hilbert import BundleSeq, HilbertFn, minimal_betti
 from .seqs import IntSeq
 
 
-def bundle_sequences(n: int, r: int, degree: int) -> list[BundleSeq]:
-    """All bundle sequences over P^n with rank r and entry sum ``degree``."""
+def _check_n_r(n: int, r: int) -> None:
     if not (isinstance(n, int) and n >= 1 and isinstance(r, int) and r >= 1):
         raise ValueError("need integer n >= 1 and r >= 1")
+
+
+def bundle_sequences(n: int, r: int, degree: int) -> list[BundleSeq]:
+    """All bundle sequences over P^n with rank r and entry sum ``degree``."""
+    _check_n_r(n, r)
     memo: dict[int, tuple[tuple[int, ...], ...]] = {}
 
     def suffixes(d: int) -> tuple[tuple[int, ...], ...]:
@@ -46,6 +50,7 @@ def bundle_sequences_by_reg(n: int, r: int, d: int) -> list[HilbertFn]:
     only degrees up to r*(d+2) can occur; each sequence gets the unique
     anchor that normalizes it, then the actual regularity is checked.
     """
+    _check_n_r(n, r)
     out = []
     for degree in range(r, r * (d + 2) + 1):
         anchor = -((-degree) // r)  # ceil(degree / r)

@@ -10,6 +10,7 @@ primary to the irrelevant maximal ideal.
 
 from __future__ import annotations
 
+import re
 from itertools import combinations, combinations_with_replacement
 
 from .errors import BadInput, ModulusMismatch, ShapeError
@@ -221,40 +222,52 @@ def format_poly(f: Poly) -> str:
     return " + ".join(parts)
 
 
+def _numeral(text: str) -> int:
+    """A plain decimal numeral: ASCII digits only, no sign, no underscores."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
 def parse_poly(text: str, p: int, nvars: int) -> Poly:
-    """Parse a sparse sum of terms like ``3*x0^2*x1 + 31999*x2 + 7``."""
+    """Parse a sparse sum of terms like ``3*x0^2*x1 + 31999*x2 + 7``.
+
+    Terms are joined by ``+`` or ``-``, and the first may carry a sign.
+    Indices, exponents and coefficients are plain decimal numerals, so
+    ``x0^-1``, ``x0^`` and a lone ``+`` are rejected, not misread.
+    """
     s = text.replace(" ", "")
     if not s:
         raise BadInput("empty polynomial string")
-    s = s.replace("-", "+-")
+    tokens = re.split(r"([+-])", s)  # term, sign, term, sign, ..., term
     terms: dict[tuple[int, ...], int] = {}
-    for chunk in s.split("+"):
+    for pos in range(0, len(tokens), 2):
+        chunk = tokens[pos]
         if not chunk:
-            continue
-        sign = 1
-        if chunk.startswith("-"):
-            sign = -1
-            chunk = chunk[1:]
+            if pos == 0:
+                continue  # a leading sign
+            raise BadInput(f"empty term in {text!r}")
+        sign = -1 if pos and tokens[pos - 1] == "-" else 1
         coeff = 1
         exps = [0] * nvars
         for factor in chunk.split("*"):
             if not factor:
                 raise BadInput(f"empty factor in {text!r}")
             if factor[0] == "x":
-                var, _, power = factor[1:].partition("^")
+                var, caret, power = factor[1:].partition("^")
                 try:
-                    i = int(var)
-                    k = int(power) if power else 1
+                    i = _numeral(var)
+                    k = _numeral(power) if caret else 1
                 except ValueError:
                     raise BadInput(f"bad factor {factor!r}") from None
                 if not 0 <= i < nvars:
                     raise BadInput(f"variable x{i} out of range (nvars={nvars})")
-                if k < 0 or k > _MAX_EXPONENT:
+                if k > _MAX_EXPONENT:
                     raise BadInput(f"exponent out of range in {factor!r}")
                 exps[i] += k
             else:
                 try:
-                    coeff *= int(factor)
+                    coeff *= _numeral(factor)
                 except ValueError:
                     raise BadInput(f"bad coefficient {factor!r}") from None
         e = tuple(exps)

@@ -120,12 +120,18 @@ def test_rank_at_least_n_when_a_nonempty():
         assert pair.r >= pair.n
 
 
-@pytest.mark.parametrize("d", [-1, 0, 1])
-def test_enumerate_matches_brute_force(d):
+@pytest.mark.parametrize("n,r,c1,d", [
+    *(pytest.param(3, 4, 5, d, id=str(d)) for d in (-1, 0, 1)),
+    # these need pairs with negative a-entries
+    (1, 1, 4, 0),
+    (1, 2, 4, 1),
+    (2, 3, 4, 2),
+])
+def test_enumerate_matches_brute_force(n, r, c1, d):
     got = {
-        (p.a.entries, p.b.entries) for p in enumerate_admissible(3, 4, 5, d)
+        (p.a.entries, p.b.entries) for p in enumerate_admissible(n, r, c1, d)
     }
-    assert got == brute_force_admissible(3, 4, 5, d)
+    assert got == brute_force_admissible(n, r, c1, d)
 
 
 def test_enumerate_d2_frozen_oracle():

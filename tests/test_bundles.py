@@ -283,6 +283,20 @@ def test_deform_family_with_nonempty_small():
     assert minimize_presentation(fam.at(99))[0] == small
 
 
+@pytest.mark.parametrize("small,big", [
+    (BettiPair(3, [], [-1, -1, -1, -1]), BettiPair(3, [0], [-1, -1, -1, -1, 0])),
+    (BettiPair(3, [0], [-1] * 5), BettiPair(3, [0], [-1] * 5).add_common(IntSeq([0]))),
+])
+@pytest.mark.parametrize("seed", [0, 1, 3, 4, 11])
+def test_deform_family_psi_is_verified_and_minimal(small, big, seed):
+    # the CLI reports the fiber at 0 from this postcondition alone
+    fam = deform_family(small, big, P, seed=seed)
+    assert fam.psi.pair == big
+    assert fam.psi.is_minimal
+    assert verify_bundle(fam.psi)
+    assert fam.at(0) == fam.psi
+
+
 def test_deform_family_errors():
     small = BettiPair(3, [], [-1, -1, -1, -1])
     other = BettiPair(3, [0], [-2, -1, -1, -1, 0])

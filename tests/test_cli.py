@@ -184,7 +184,7 @@ def test_check_stdin_and_failure(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["bundle"] is False
 
 
-def test_check_multiple_files_with_jobs(tmp_path, capsys):
+def test_check_multiple_files(tmp_path, capsys):
     _, out, _ = run_cli(
         ["present", "--n", "3", "--a", "2", "--b", "0,0,0,1,1"], capsys
     )
@@ -192,7 +192,7 @@ def test_check_multiple_files_with_jobs(tmp_path, capsys):
     p2 = tmp_path / "b.json"
     p1.write_text(out)
     p2.write_text(out)
-    code, out2, _ = run_cli(["check", str(p1), str(p2), "--jobs", "2"], capsys)
+    code, out2, _ = run_cli(["check", str(p1), str(p2)], capsys)
     assert code == 0
     docs = json.loads(out2)
     validate(docs, "check")
@@ -293,3 +293,51 @@ def test_deform_byte_deterministic(capsys):
     _, out1, _ = run_cli(argv, capsys)
     _, out2, _ = run_cli(argv, capsys)
     assert out1 == out2
+
+
+def assert_bad_input(code, out, err):
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    validate(doc, "error")
+    assert doc["error"] == "BadInput"
+
+
+@pytest.mark.parametrize("mode", [["--max-reg", "1"], ["--degree", "3"]])
+def test_enumerate_rank_zero_is_bad_input(mode, capsys):
+    assert_bad_input(*run_cli(["enumerate", "--n", "3", "--rank", "0", *mode], capsys))
+
+
+def test_check_non_utf8_file(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_bytes(b'{"n": 3, "p": 32003, "a": [], "b": [0], "entries": [], "x": "\xe9"}')
+    assert_bad_input(*run_cli(["check", str(path)], capsys))
+
+
+@pytest.mark.parametrize("entry", ["x0^-1", "x0^+1", "x0^", "+"])
+def test_check_malformed_polynomial(entry, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    doc = {"n": 3, "p": 32003, "a": [1], "b": [0, 0, 0, 0], "entries": [[entry], ["x1"], ["x2"], ["x3"]]}
+    path.write_text(json.dumps(doc))
+    assert_bad_input(*run_cli(["check", str(path)], capsys))
+
+
+def test_huge_modulus_rejected_on_every_path(tmp_path, capsys, monkeypatch):
+    # trial division up to sqrt(p) would run for minutes on this prime
+    huge = "1000000000000000003"
+    argv = ["present", "--n", "3", "--a", "2", "--b", "0,0,0,1,1"]
+    assert_bad_input(*run_cli(argv + ["--prime", huge], capsys))
+    monkeypatch.setenv("PNBUNDLES_PRIME", huge)
+    assert_bad_input(*run_cli(argv, capsys))
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 3, "p": int(huge), "a": [], "b": [0], "entries": []}))
+    assert_bad_input(*run_cli(["check", str(path)], capsys))
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--n", "3", "--rank", "4", "--degree", "9", "--jobs", "2"],
+    ["check", "m.json", "--jobs", "2"],
+])
+def test_jobs_flag_is_a_usage_error(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2

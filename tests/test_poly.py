@@ -5,7 +5,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from pnbundles.errors import ModulusMismatch, ShapeError
+from pnbundles.errors import BadInput, ModulusMismatch, ShapeError
 from pnbundles.poly import (
     Ideal,
     Poly,
@@ -78,6 +78,14 @@ def test_parse_format_round_trip():
         assert parse_poly(format_poly(f), p, 4) == f
     assert format_poly(Poly.zero(p, 4)) == "0"
     assert parse_poly("-x0 + x0", p, 4) == Poly.zero(p, 4)
+    assert parse_poly("-x0", p, 4) == Poly.variable(0, p, 4).scale(-1)
+    assert parse_poly("x0^2-x1", p, 4) == Poly.variable(0, p, 4, power=2) - Poly.variable(1, p, 4)
+
+
+@pytest.mark.parametrize("text", ["x0^-1", "x0^+1", "x0^", "+", "-", "x0+", "x0++x1", "x1_0", "3_0*x0"])
+def test_parse_poly_rejects_malformed(text):
+    with pytest.raises(BadInput):
+        parse_poly(text, 32003, 4)
 
 
 def test_normal_form_examples():
