@@ -13,10 +13,10 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 
 from .errors import BadInput, EmptyPair
-from .seqs import IntSeq, is_sub_multiset, seq_diff, seq_min, seq_sum
+from .seqs import Frozen, IntSeq, is_sub_multiset, seq_diff, seq_min, seq_sum
 
 
-class BettiPair:
+class BettiPair(Frozen):
     """A pair of ascending twist sequences over P^n with len(b) > len(a)."""
 
     __slots__ = ("n", "a", "b")
@@ -32,9 +32,6 @@ class BettiPair:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BettiPair is immutable")
-
     @property
     def l(self) -> int:
         return len(self.a)
@@ -42,17 +39,6 @@ class BettiPair:
     @property
     def r(self) -> int:
         return len(self.b) - len(self.a)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BettiPair)
-            and self.n == other.n
-            and self.a == other.a
-            and self.b == other.b
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.a.entries, self.b.entries))
 
     def __repr__(self) -> str:
         return f"BettiPair(n={self.n}, a={self.a}, b={self.b})"
@@ -117,22 +103,6 @@ def generalizes(p: BettiPair, q: BettiPair) -> bool:
     return generalization_witness(p, q) is not None
 
 
-def _ascending_with_sum(length, total, lo, hi):
-    """Ascending integer tuples of given length and sum, entries in [lo, hi]."""
-    if length == 0:
-        if total == 0:
-            yield ()
-        return
-    # remaining entries are >= v, so prune by feasible sum windows
-    first_hi = min(hi, total // length)
-    for v in range(lo, first_hi + 1):
-        rest = total - v
-        if rest > hi * (length - 1):
-            continue
-        for tail in _ascending_with_sum(length - 1, rest, v, hi):
-            yield (v,) + tail
-
-
 def _a_choices(prefix_min, lows, hi, total):
     """Ascending tuples with per-index lower bounds ``lows`` and fixed sum."""
     k = len(lows)
@@ -166,7 +136,7 @@ def enumerate_admissible(n: int, r: int, c1: int, d: int) -> frozenset[BettiPair
     # split pairs
     lo_split = -c1 - (r - 1) * d
     if lo_split <= d:
-        for b in _ascending_with_sum(r, -c1, lo_split, d):
+        for b in _a_choices(lo_split, (lo_split,) * r, d, -c1):
             found.add(BettiPair(n, (), b))
     # pairs with nonempty a exist only for r >= n
     if r >= n:

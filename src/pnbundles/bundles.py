@@ -24,10 +24,10 @@ from .errors import (
     ShapeError,
 )
 from .poly import Ideal, Poly, format_poly, maximal_minors, monomials, parse_poly
-from .seqs import IntSeq
+from .seqs import Frozen, IntSeq
 
 
-class PresMatrix:
+class PresMatrix(Frozen):
     """A homogeneous matrix of forms presenting a candidate bundle."""
 
     __slots__ = ("pair", "p", "rows")
@@ -55,9 +55,6 @@ class PresMatrix:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "rows", rows)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PresMatrix is immutable")
-
     @property
     def is_minimal(self) -> bool:
         """No nonzero constant entries."""
@@ -65,14 +62,6 @@ class PresMatrix:
 
     def entry(self, i: int, j: int) -> Poly:
         return self.rows[i][j]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PresMatrix)
-            and self.pair == other.pair
-            and self.p == other.p
-            and self.rows == other.rows
-        )
 
     def __repr__(self) -> str:
         return f"PresMatrix(pair={self.pair!r}, p={self.p}, {len(self.rows)}x{self.pair.l})"
@@ -88,21 +77,32 @@ class PresMatrix:
 
     @classmethod
     def from_json(cls, data) -> "PresMatrix":
+        """Read a document of ``schemas/matrix.schema.json``: n and p are
+        JSON integers and the entries are rows of polynomial strings."""
         try:
-            pair = BettiPair(int(data["n"]), IntSeq.from_json(data["a"]), IntSeq.from_json(data["b"]))
-            p = int(data["p"])
+            pair = BettiPair(_json_int(data, "n"), IntSeq.from_json(data["a"]), IntSeq.from_json(data["b"]))
+            p = _json_int(data, "p")
             entries = data["entries"]
+            if not (
+                isinstance(entries, list)
+                and all(isinstance(row, list) and all(isinstance(s, str) for s in row) for row in entries)
+            ):
+                raise BadInput("malformed matrix document: entries must be arrays of strings")
             rows = [[parse_poly(s, p, pair.n + 1) for s in row] for row in entries]
-        except BadInput:
-            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise BadInput(f"malformed matrix document: {exc}") from None
         try:
             return cls(pair, p, rows)
-        except (ShapeError, ModulusMismatch):
-            raise
         except ValueError as exc:
             raise BadInput(str(exc)) from None
+
+
+def _json_int(data, key: str) -> int:
+    """``data[key]`` when it is a JSON integer; a float, string or boolean is refused."""
+    value = data[key]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise BadInput(f"malformed matrix document: {key} must be an integer, got {value!r}")
+    return value
 
 
 def explicit_matrix(pair: BettiPair, prime: int) -> PresMatrix:
@@ -299,9 +299,6 @@ class DeformFamily:
             for prow, frow in zip(self.psi.rows, self._phi_prime)
         ]
         return PresMatrix(self.big, self.prime, rows)
-
-    def __call__(self, t: int) -> PresMatrix:
-        return self.at(t)
 
 
 def deform_family(small: BettiPair, big: BettiPair, prime: int, seed) -> DeformFamily:

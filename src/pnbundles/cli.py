@@ -34,6 +34,7 @@ from .seqs import parse_seq, parse_values
 
 DEFAULT_PRIME = 32003
 _PRIME_ENV = "PNBUNDLES_PRIME"
+MAX_SAMPLES = 1000  # each sample minimizes and verifies one fiber
 
 
 def _default_prime() -> int:
@@ -149,10 +150,10 @@ def _read_matrix(source: str) -> PresMatrix:
     except json.JSONDecodeError as exc:
         raise BadInput(f"invalid JSON in {source}: {exc}") from None
     if isinstance(doc, dict) and "p" in doc:
-        try:
-            _check_prime(int(doc["p"]))
-        except (TypeError, ValueError):
-            raise BadInput(f"bad modulus in {source}") from None
+        p = doc["p"]
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise BadInput(f"bad modulus in {source}")
+        _check_prime(p)
     return PresMatrix.from_json(doc)
 
 
@@ -177,6 +178,8 @@ def _cmd_check(args) -> str:
 
 
 def _cmd_deform(args) -> str:
+    if not 0 <= args.samples <= MAX_SAMPLES:
+        raise BadInput(f"--samples must be between 0 and {MAX_SAMPLES}, got {args.samples}")
     small = _pair(args.n, args.small_a, args.small_b)
     big = _pair(args.n, args.big_a, args.big_b)
     prime = _check_prime(args.prime)

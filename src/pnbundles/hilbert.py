@@ -13,10 +13,10 @@ from collections import Counter
 
 from .betti import BettiPair
 from .errors import BadInput, NotAdmissible
-from .seqs import IntSeq
+from .seqs import Frozen, IntSeq
 
 
-class BundleSeq:
+class BundleSeq(Frozen):
     """The intermediate value profile of an n-th difference function.
 
     Entries are positive, the last entry is the rank r and differs from its
@@ -41,9 +41,6 @@ class BundleSeq:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "values", vals)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BundleSeq is immutable")
-
     @property
     def r(self) -> int:
         return self.values[-1]
@@ -56,12 +53,6 @@ class BundleSeq:
     def degree(self) -> int:
         return sum(self.values)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BundleSeq) and (self.n, self.values) == (other.n, other.values)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.values))
-
     def __lt__(self, other: "BundleSeq") -> bool:
         return self.values < other.values
 
@@ -69,7 +60,7 @@ class BundleSeq:
         return f"BundleSeq(n={self.n}, values={list(self.values)!r})"
 
 
-class HilbertFn:
+class HilbertFn(Frozen):
     """A Hilbert function, stored as (n, anchor s0, bundle sequence)."""
 
     __slots__ = ("n", "s0", "seq")
@@ -84,9 +75,6 @@ class HilbertFn:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "s0", s0)
         object.__setattr__(self, "seq", seq)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HilbertFn is immutable")
 
     @property
     def r(self) -> int:
@@ -128,15 +116,6 @@ class HilbertFn:
                 acc += v
                 window[i] = acc
         return window[-1]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, HilbertFn)
-            and (self.n, self.s0, self.seq) == (other.n, other.s0, other.seq)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.s0, self.seq))
 
     def __repr__(self) -> str:
         return f"HilbertFn(n={self.n}, s0={self.s0}, B={list(self.seq.values)!r})"

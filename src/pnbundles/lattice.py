@@ -11,12 +11,16 @@ from __future__ import annotations
 
 import json
 from itertools import product
+from math import prod
 
 from .betti import BettiPair
-from .errors import UnknownFormat
+from .errors import BadInput, UnknownFormat
 from .generate import max_difference
 from .hilbert import HilbertFn, minimal_betti
 from .seqs import IntSeq, is_sub_multiset, seq_max, seq_min
+
+# the JSON export takes time quadratic in the node count
+MAX_NODES = 1024
 
 
 class BettiLattice:
@@ -24,7 +28,8 @@ class BettiLattice:
 
     Nodes are difference multisets c, ordered by multiset inclusion; the
     pair at node c is base + c.  Raises RegularityTooSmall when even the
-    minimal pair exceeds the bound.
+    minimal pair exceeds the bound, and BadInput when the lattice would have
+    more than MAX_NODES nodes.
     """
 
     __slots__ = ("h", "d", "base", "cmax", "nodes", "_index")
@@ -33,6 +38,8 @@ class BettiLattice:
         base = minimal_betti(h)
         cmax = max_difference(h, d)  # checks the regularity bound
         counts = sorted(cmax.counter().items())
+        if prod(k + 1 for _, k in counts) > MAX_NODES:
+            raise BadInput(f"the lattice has more than {MAX_NODES} nodes")
         nodes = []
         for mults in product(*(range(k + 1) for _, k in counts)):
             entries = []

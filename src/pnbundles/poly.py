@@ -14,6 +14,7 @@ import re
 from itertools import combinations, combinations_with_replacement
 
 from .errors import BadInput, ModulusMismatch, ShapeError
+from .seqs import Frozen
 
 _MAX_EXPONENT = 2**31
 
@@ -42,7 +43,7 @@ def monomials(nvars: int, degree: int):
         yield tuple(e)
 
 
-class Poly:
+class Poly(Frozen):
     """A polynomial in x_0..x_{nvars-1} with coefficients in F_p."""
 
     __slots__ = ("p", "nvars", "terms", "_lead")
@@ -67,9 +68,6 @@ class Poly:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_lead", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
 
     @classmethod
     def zero(cls, p: int, nvars: int) -> "Poly":
@@ -400,12 +398,6 @@ class Ideal:
         if self._gb is None:
             object.__setattr__(self, "_gb", tuple(groebner_basis(self.gens)))
         return self._gb
-
-    def normal_form(self, f: Poly) -> Poly:
-        return normal_form(f, self.groebner_basis())
-
-    def contains(self, f: Poly) -> bool:
-        return not self.normal_form(f)
 
     def is_m_primary_or_unit(self) -> bool:
         """True iff the ideal is the unit ideal or cuts out only the origin.

@@ -14,7 +14,28 @@ from typing import Iterable, Iterator
 from .errors import BadInput, NotSubMultiset
 
 
-class IntSeq:
+class Frozen:
+    """An immutable value: equal exactly when of one type with equal slots.
+
+    Subclasses declare their fields in ``__slots__`` and set them in
+    ``__init__`` through ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and all(
+            getattr(self, name) == getattr(other, name) for name in self.__slots__
+        )
+
+    def __hash__(self) -> int:
+        return hash(tuple(getattr(self, name) for name in self.__slots__))
+
+
+class IntSeq(Frozen):
     """An ascending finite sequence of integers, possibly empty.
 
     The constructor sorts its input, so the canonical ascending form is
@@ -32,9 +53,6 @@ class IntSeq:
         xs.sort()
         object.__setattr__(self, "entries", tuple(xs))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("IntSeq is immutable")
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -46,12 +64,6 @@ class IntSeq:
 
     def __bool__(self) -> bool:
         return bool(self.entries)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntSeq) and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
 
     def __lt__(self, other: "IntSeq") -> bool:
         return self.entries < other.entries

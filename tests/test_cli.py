@@ -1,6 +1,9 @@
 """CLI behavior: payloads, determinism, exit codes, schema conformance."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import pytest
@@ -341,3 +344,40 @@ def test_jobs_flag_is_a_usage_error(argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
+
+
+LINEAR = {"n": 3, "p": 32003, "a": [1], "b": [0, 0, 0, 0], "entries": [["x0"], ["x1"], ["x2"], ["x3"]]}
+
+
+@pytest.mark.parametrize("field,value", [
+    ("p", 32003.9),
+    ("p", "32003"),
+    ("n", 3.7),
+    ("entries", [[1], ["x1"], ["x2"], ["x3"]]),
+])
+def test_check_reads_matrix_documents_strictly(field, value, tmp_path, capsys):
+    # int() used to coerce the first three, and an integer entry ended in a traceback
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({**LINEAR, field: value}))
+    assert_bad_input(*run_cli(["check", str(path)], capsys))
+
+
+DEFORM = ["deform", "--n", "3", "--small-a", "", "--small-b=-1^4", "--big-a", "0", "--big-b=-1^4,0"]
+LATTICE = ["lattice", "--n", "3", "--seq", "5,4", "--anchor=-1", "--format", "json", "--max-reg"]
+
+
+@pytest.mark.parametrize("argv,bound", [
+    (LATTICE + ["40"], "1024"),
+    (LATTICE + ["100000"], "1024"),  # a node count with more digits than str() allows
+    (DEFORM + ["--samples", "100000000"], "1000"),
+    (DEFORM + ["--samples", "-1"], "1000"),
+])
+def test_work_bounded_by_flag_values(argv, bound):
+    # a separate process, so that unbounded work fails the test instead of hanging it
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pnbundles", *argv], capture_output=True, text=True, timeout=10,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert_bad_input(proc.returncode, proc.stdout, proc.stderr)
+    assert bound in json.loads(proc.stderr)["detail"]

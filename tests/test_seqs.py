@@ -4,7 +4,11 @@ import random
 
 import pytest
 
+from pnbundles.betti import BettiPair
+from pnbundles.bundles import explicit_matrix
 from pnbundles.errors import BadInput, NotSubMultiset
+from pnbundles.hilbert import BundleSeq, HilbertFn
+from pnbundles.poly import parse_poly
 from pnbundles.seqs import (
     IntSeq,
     is_sub_multiset,
@@ -95,6 +99,27 @@ def test_immutability_and_hash():
         x.entries = ()
     assert hash(x) == hash(IntSeq([2, 1]))
     assert len({x, IntSeq([1, 2])}) == 1
+
+
+VALUES = {
+    "IntSeq": lambda: IntSeq([2, 1, 2]),
+    "BettiPair": lambda: BettiPair(3, [2], [0, 0, 0, 1, 1]),
+    "BundleSeq": lambda: BundleSeq(3, [5, 4]),
+    "HilbertFn": lambda: HilbertFn(3, -1, [5, 4]),
+    "PresMatrix": lambda: explicit_matrix(BettiPair(3, [2], [0, 0, 0, 1, 1]), 32003),
+    "Poly": lambda: parse_poly("x0^2 - 3*x1*x2", 32003, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_value_contract(name):
+    x, y = VALUES[name](), VALUES[name]()
+    assert type(x).__name__ == name
+    for attr in (x.__slots__[0], "not_a_field"):
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            setattr(x, attr, None)
+    assert x is not y and x == y and hash(x) == hash(y)
+    assert x != tuple(getattr(x, field) for field in x.__slots__)
 
 
 def test_json_round_trip():
