@@ -23,7 +23,7 @@ from .errors import (
     NotGeneralization,
     ShapeError,
 )
-from .poly import Ideal, Poly, format_poly, maximal_minors, monomials, parse_poly
+from .poly import Ideal, Poly, check_prime, format_poly, maximal_minors, monomials, parse_poly
 from .seqs import Frozen, IntSeq
 
 
@@ -78,10 +78,11 @@ class PresMatrix(Frozen):
     @classmethod
     def from_json(cls, data) -> "PresMatrix":
         """Read a document of ``schemas/matrix.schema.json``: n and p are
-        JSON integers and the entries are rows of polynomial strings."""
+        JSON integers, p a prime below 2^31, and the entries are rows of
+        polynomial strings."""
         try:
             pair = BettiPair(_json_int(data, "n"), IntSeq.from_json(data["a"]), IntSeq.from_json(data["b"]))
-            p = _json_int(data, "p")
+            p = check_prime(_json_int(data, "p"))
             entries = data["entries"]
             if not (
                 isinstance(entries, list)
@@ -246,19 +247,16 @@ def split_bound(pair: BettiPair) -> tuple[int, int]:
     return pair.n, high
 
 
-def slope_and_semistability(pair: BettiPair, displayed_sign: bool = False):
+def slope_and_semistability(pair: BettiPair):
     """The slope c1/r, and a semistability verdict when rank equals n.
 
-    The verdict compares b_1 with -slope by default; ``displayed_sign``
-    switches to comparing with +slope instead.  For split pairs or rank
-    different from n the verdict is None: Betti numbers do not decide
-    semistability there.
+    The verdict compares b_1 with -slope.  For split pairs or rank different
+    from n it is None: Betti numbers do not decide semistability there.
     """
     mu = Fraction(pair.c1(), pair.r)
     verdict = None
     if pair.r == pair.n and pair.l > 0:
-        b1 = pair.b.entries[0]
-        verdict = b1 >= mu if displayed_sign else b1 >= -mu
+        verdict = pair.b.entries[0] >= -mu
     return mu, verdict
 
 

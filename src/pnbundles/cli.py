@@ -29,7 +29,7 @@ from .errors import BadInput, DomainError, NotABundle
 from .generate import bundle_sequences, bundle_sequences_by_reg
 from .hilbert import HilbertFn, minimal_betti, normalize
 from .lattice import BettiLattice
-from .poly import format_poly
+from .poly import check_prime, format_poly
 from .seqs import parse_seq, parse_values
 
 DEFAULT_PRIME = 32003
@@ -45,19 +45,6 @@ def _default_prime() -> int:
         return int(raw)
     except ValueError:
         raise BadInput(f"{_PRIME_ENV} must be an integer, got {raw!r}") from None
-
-
-def _check_prime(p: int) -> int:
-    if p >= 2**31:  # keeps the trial division below 2^16 steps
-        raise BadInput(f"modulus {p} is not below 2^31")
-    if p < 2:
-        raise BadInput(f"modulus {p} is not a prime")
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            raise BadInput(f"modulus {p} is not a prime")
-        d += 1
-    return p
 
 
 def _emit_json(payload) -> str:
@@ -128,7 +115,7 @@ def _cmd_lattice(args) -> str:
 
 def _cmd_present(args) -> str:
     pair = _pair(args.n, args.a, args.b)
-    prime = _check_prime(args.prime)
+    prime = check_prime(args.prime)
     if args.mode == "explicit":
         m = explicit_matrix(pair, prime)
     else:
@@ -149,11 +136,6 @@ def _read_matrix(source: str) -> PresMatrix:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise BadInput(f"invalid JSON in {source}: {exc}") from None
-    if isinstance(doc, dict) and "p" in doc:
-        p = doc["p"]
-        if not isinstance(p, int) or isinstance(p, bool):
-            raise BadInput(f"bad modulus in {source}")
-        _check_prime(p)
     return PresMatrix.from_json(doc)
 
 
@@ -182,7 +164,7 @@ def _cmd_deform(args) -> str:
         raise BadInput(f"--samples must be between 0 and {MAX_SAMPLES}, got {args.samples}")
     small = _pair(args.n, args.small_a, args.small_b)
     big = _pair(args.n, args.big_a, args.big_b)
-    prime = _check_prime(args.prime)
+    prime = check_prime(args.prime)
     fam = deform_family(small, big, prime, args.seed)
     rng = random.Random(args.seed ^ 0x5EED)
     samples = []

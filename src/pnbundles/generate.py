@@ -64,11 +64,25 @@ def bundle_sequences_by_reg(n: int, r: int, d: int) -> list[HilbertFn]:
 def max_difference(h: HilbertFn, d: int) -> IntSeq:
     """The largest multiset c with base + c admissible of regularity <= d.
 
-    Every admissible difference multiset is a sub-multiset of the result.
+    Every admissible difference multiset is a sub-multiset of the result;
+    ``max_difference_counts`` gives its multiplicities.
+    """
+    return IntSeq(t for t, k in max_difference_counts(h, d) for _ in range(k))
+
+
+def max_difference_counts(h: HilbertFn, d: int):
+    """The pairs (t, k), ascending in t, of the values t in max_difference(h, d)
+    and their multiplicities k > 0; a lazy iterator, so that a caller can stop
+    before the tail is made.
+
     Candidate values range over (beta_n, d]: adding a value at or below
     beta_n puts it in position p of the new a with the matching b-entry at
     p+n no smaller, so no such pair is admissible.  Per-value maxima combine,
-    because admissible differences are closed under pointwise maximum.
+    because admissible differences are closed under pointwise maximum.  A
+    value t above every entry of the base goes to the ends of a and b, where
+    the copy at position l+j of a meets b-entry l+n+j: an old entry, smaller
+    than t, for j < r-n, and a copy of t otherwise.  So above the largest
+    entry M every t <= d has multiplicity r-n, and only (beta_n, M] is walked.
     """
     base = minimal_betti(h)
     if base.regularity() > d:
@@ -76,10 +90,10 @@ def max_difference(h: HilbertFn, d: int) -> IntSeq:
             f"minimal pair has regularity {base.regularity()} > {d}"
         )
     if base.r < h.n:
-        return IntSeq()
+        return
     lo = base.b.entries[h.n - 1]
-    out = []
-    for t in range(lo + 1, d + 1):
+    top = max(base.a.entries + base.b.entries)
+    for t in range(lo + 1, min(d, top) + 1):
         k = 0
         while True:
             cand = base.add_common(IntSeq([t] * (k + 1)))
@@ -87,5 +101,8 @@ def max_difference(h: HilbertFn, d: int) -> IntSeq:
                 k += 1
             else:
                 break
-        out.extend([t] * k)
-    return IntSeq(out)
+        if k:
+            yield t, k
+    if base.r > h.n:
+        for t in range(top + 1, d + 1):
+            yield t, base.r - h.n

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import json
 from itertools import product
-from math import prod
 
 from .betti import BettiPair
 from .errors import BadInput, UnknownFormat
-from .generate import max_difference
+from .generate import max_difference_counts
 from .hilbert import HilbertFn, minimal_betti
 from .seqs import IntSeq, is_sub_multiset, seq_max, seq_min
 
@@ -36,10 +35,13 @@ class BettiLattice:
 
     def __init__(self, h: HilbertFn, d: int):
         base = minimal_betti(h)
-        cmax = max_difference(h, d)  # checks the regularity bound
-        counts = sorted(cmax.counter().items())
-        if prod(k + 1 for _, k in counts) > MAX_NODES:
-            raise BadInput(f"the lattice has more than {MAX_NODES} nodes")
+        counts, size = [], 1
+        for t, k in max_difference_counts(h, d):  # checks the regularity bound
+            size *= k + 1
+            if size > MAX_NODES:
+                raise BadInput(f"the lattice has more than {MAX_NODES} nodes")
+            counts.append((t, k))
+        cmax = IntSeq(t for t, k in counts for _ in range(k))
         nodes = []
         for mults in product(*(range(k + 1) for _, k in counts)):
             entries = []

@@ -10,13 +10,25 @@ primary to the irrelevant maximal ideal.
 
 from __future__ import annotations
 
+import heapq
 import re
 from itertools import combinations, combinations_with_replacement
+from math import isqrt
 
 from .errors import BadInput, ModulusMismatch, ShapeError
 from .seqs import Frozen
 
 _MAX_EXPONENT = 2**31
+
+
+def check_prime(p: int) -> int:
+    """p itself when it is a prime below 2^31, the bound that keeps the trial
+    division below 2^16 steps; BadInput otherwise."""
+    if p >= 2**31:
+        raise BadInput(f"modulus {p} is not below 2^31")
+    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        raise BadInput(f"modulus {p} is not a prime")
+    return p
 
 
 def grevlex_key(exps: tuple[int, ...]):
@@ -46,7 +58,7 @@ def monomials(nvars: int, degree: int):
 class Poly(Frozen):
     """A polynomial in x_0..x_{nvars-1} with coefficients in F_p."""
 
-    __slots__ = ("p", "nvars", "terms", "_lead")
+    __slots__ = ("p", "nvars", "terms")
 
     def __init__(self, p: int, nvars: int, terms=None):
         if not isinstance(p, int) or p < 2:
@@ -67,7 +79,6 @@ class Poly(Frozen):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_lead", None)
 
     @classmethod
     def zero(cls, p: int, nvars: int) -> "Poly":
@@ -91,14 +102,6 @@ class Poly(Frozen):
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Poly)
-            and self.p == other.p
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
 
     def __hash__(self) -> int:
         return hash((self.p, self.nvars, frozenset(self.terms.items())))
@@ -124,28 +127,9 @@ class Poly(Frozen):
     def __mul__(self, other: "Poly") -> "Poly":
         self._compat(other)
         out: dict[tuple[int, ...], int] = {}
-        p = self.p
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = (out.get(e, 0) + c1 * c2) % p
-                if v:
-                    out[e] = v
-                elif e in out:
-                    del out[e]
-        return Poly(p, self.nvars, out)
-
-    def __pow__(self, k: int) -> "Poly":
-        if k < 0:
-            raise ValueError("negative power")
-        result = Poly.const(1, self.p, self.nvars)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+            _sub_multiple(out, -c1, e1, other.terms.items(), self.p)
+        return Poly(self.p, self.nvars, out)
 
     def scale(self, c: int) -> "Poly":
         c %= self.p
@@ -153,35 +137,13 @@ class Poly(Frozen):
             return Poly.zero(self.p, self.nvars)
         return Poly(self.p, self.nvars, {e: (v * c) % self.p for e, v in self.terms.items()})
 
-    def term_mul(self, coeff: int, shift: tuple[int, ...]) -> "Poly":
-        """Multiply by coeff * x^shift."""
-        coeff %= self.p
-        if coeff == 0:
-            return Poly.zero(self.p, self.nvars)
-        return Poly(
-            self.p,
-            self.nvars,
-            {
-                tuple(a + b for a, b in zip(e, shift)): (v * coeff) % self.p
-                for e, v in self.terms.items()
-            },
-        )
-
     def lead_exps(self) -> tuple[int, ...]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        if self._lead is None:
-            object.__setattr__(self, "_lead", max(self.terms, key=grevlex_key))
-        return self._lead
+        return max(self.terms, key=grevlex_key)
 
     def lead_coeff(self) -> int:
         return self.terms[self.lead_exps()]
-
-    def monic(self) -> "Poly":
-        lc = self.lead_coeff()
-        if lc == 1:
-            return self
-        return self.scale(pow(lc, -1, self.p))
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -279,100 +241,126 @@ def normal_form(f: Poly, basis) -> Poly:
     Every term of the result is divisible by no leading monomial of the
     basis; when the basis is a Groebner basis the remainder is unique.
     """
-    reducers = []
+    records = []
     for g in basis:
         if g:
             f._compat(g)
-            reducers.append((g.lead_exps(), pow(g.lead_coeff(), -1, f.p), list(g.terms.items())))
-    p = f.p
-    work = dict(f.terms)
+            records.append(_record(g.terms, f.p))
+    return Poly(f.p, f.nvars, _reduce(f.terms, records, f.p))
+
+
+# The engine's bookkeeping, each datum computed once.  A basis element is a
+# record (lead exponents, terms of its monic multiple), made when it joins the
+# basis; dividing by a nonzero multiple of a polynomial leaves the same
+# remainder.  A pending pair is a heap entry (grevlex key of its lcm, i, j, lcm).
+
+
+def _record(terms, p: int):
+    lead = max(terms, key=grevlex_key)
+    inv = pow(terms[lead], -1, p)
+    return lead, [(e, c * inv % p) for e, c in terms.items()]
+
+
+def _sub_multiple(work: dict, factor: int, shift, terms, p: int) -> None:
+    """work -= factor * x^shift * (the given terms), in place."""
+    for me, mc in terms:
+        e = tuple(a + b for a, b in zip(me, shift))
+        v = (work.get(e, 0) - factor * mc) % p
+        if v:
+            work[e] = v
+        elif e in work:
+            del work[e]
+
+
+def _reduce(terms, records, p: int) -> dict:
+    """The division loop: the leading term is divided by the first record
+    whose lead divides it, or else moved to the remainder."""
+    work = dict(terms)
     rem: dict[tuple[int, ...], int] = {}
     while work:
         lt = max(work, key=grevlex_key)
         lc = work[lt]
-        for ge, ginv, gterms in reducers:
+        for ge, gterms in records:
             if _divides(ge, lt):
-                shift = tuple(a - b for a, b in zip(lt, ge))
-                factor = (lc * ginv) % p
-                for me, mc in gterms:
-                    e = tuple(a + b for a, b in zip(me, shift))
-                    v = (work.get(e, 0) - factor * mc) % p
-                    if v:
-                        work[e] = v
-                    elif e in work:
-                        del work[e]
+                _sub_multiple(work, lc, tuple(a - b for a, b in zip(lt, ge)), gterms, p)
                 break
         else:
             rem[lt] = lc
             del work[lt]
-    return Poly(p, f.nvars, rem)
+    return rem
+
+
+def _spoly_terms(f, g, lcm, p: int) -> dict:
+    """The S-polynomial of two records whose leads have the given lcm."""
+    work: dict[tuple[int, ...], int] = {}
+    _sub_multiple(work, -1, tuple(a - b for a, b in zip(lcm, f[0])), f[1], p)
+    _sub_multiple(work, 1, tuple(a - b for a, b in zip(lcm, g[0])), g[1], p)
+    return work
 
 
 def _spoly(f: Poly, g: Poly) -> Poly:
-    lf, lg = f.lead_exps(), g.lead_exps()
-    lcm = _lcm(lf, lg)
-    uf = tuple(a - b for a, b in zip(lcm, lf))
-    ug = tuple(a - b for a, b in zip(lcm, lg))
-    return f.term_mul(pow(f.lead_coeff(), -1, f.p), uf) - g.term_mul(
-        pow(g.lead_coeff(), -1, g.p), ug
-    )
+    rf, rg = _record(f.terms, f.p), _record(g.terms, g.p)
+    return Poly(f.p, f.nvars, _spoly_terms(rf, rg, _lcm(rf[0], rg[0]), f.p))
 
 
 def groebner_basis(gens) -> list[Poly]:
     """The reduced Groebner basis under grevlex, sorted by descending lead.
 
-    Buchberger's algorithm with normal pair selection (smallest lcm first)
-    and both classical pair-elimination criteria.  The reduced basis is
-    unique, so the output does not depend on generator order.
+    Buchberger's algorithm with normal pair selection (smallest lcm first,
+    ties by index) and both classical pair-elimination criteria.  The
+    reduced basis is unique, so the output does not depend on generator
+    order.
     """
-    G = [g.monic() for g in gens if g]
-    if not G:
+    gens = [g for g in gens if g]
+    if not gens:
         return []
-    pairs = {(i, j) for j in range(len(G)) for i in range(j)}
-    while pairs:
-        i, j = min(
-            pairs,
-            key=lambda ij: grevlex_key(_lcm(G[ij[0]].lead_exps(), G[ij[1]].lead_exps())),
-        )
-        pairs.discard((i, j))
-        ei, ej = G[i].lead_exps(), G[j].lead_exps()
-        if all(min(a, b) == 0 for a, b in zip(ei, ej)):
+    p, nvars = gens[0].p, gens[0].nvars
+    for g in gens:
+        gens[0]._compat(g)
+    G = [_record(g.terms, p) for g in gens]
+    heap, pending = [], set()  # pending: the (i, j) of the heap's entries
+
+    def add_pairs(j: int) -> None:
+        for i in range(j):
+            lcm = _lcm(G[i][0], G[j][0])
+            heapq.heappush(heap, (grevlex_key(lcm), i, j, lcm))
+            pending.add((i, j))
+
+    for j in range(1, len(G)):
+        add_pairs(j)
+    while heap:
+        _, i, j, lcm = heapq.heappop(heap)
+        pending.discard((i, j))
+        if all(min(a, b) == 0 for a, b in zip(G[i][0], G[j][0])):
             continue  # coprime leads: S-polynomial reduces to zero
-        lcm = _lcm(ei, ej)
-        skip = False
-        for k in range(len(G)):
-            if k in (i, j) or not _divides(G[k].lead_exps(), lcm):
-                continue
-            if (min(i, k), max(i, k)) not in pairs and (min(j, k), max(j, k)) not in pairs:
-                skip = True  # chain criterion
-                break
-        if skip:
-            continue
-        r = normal_form(_spoly(G[i], G[j]), G)
+        if any(
+            k not in (i, j) and _divides(G[k][0], lcm)
+            and (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending
+            for k in range(len(G))
+        ):
+            continue  # chain criterion
+        r = _reduce(_spoly_terms(G[i], G[j], lcm, p), G, p)
         if r:
-            G.append(r.monic())
-            t = len(G) - 1
-            pairs.update((k, t) for k in range(t))
-    return _interreduce(G)
+            G.append(_record(r, p))
+            add_pairs(len(G) - 1)
+    return _interreduce(G, p, nvars)
 
 
-def _interreduce(G: list[Poly]) -> list[Poly]:
-    G = sorted((g.monic() for g in G if g), key=lambda g: grevlex_key(g.lead_exps()))
-    minimal: list[Poly] = []
-    for g in G:
-        if not any(_divides(h.lead_exps(), g.lead_exps()) for h in minimal):
-            minimal.append(g)
-    out = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
-        r = normal_form(g, others) if others else g
-        out.append(r.monic())
-    out.sort(key=lambda g: grevlex_key(g.lead_exps()), reverse=True)
-    return out
+def _interreduce(G, p: int, nvars: int) -> list[Poly]:
+    """The reduced basis from the records of a Groebner basis."""
+    G = sorted(G, key=lambda rec: grevlex_key(rec[0]))
+    minimal: list = []
+    for rec in G:
+        if not any(_divides(h[0], rec[0]) for h in minimal):
+            minimal.append(rec)
+    # no other lead divides a minimal lead, so each keeps its lead and stays monic
+    out = [Poly(p, nvars, _reduce(t, minimal[:i] + minimal[i + 1 :], p)) for i, (_, t) in enumerate(minimal)]
+    return out[::-1]  # by descending lead
 
 
 class Ideal:
-    """An ideal given by generators, with a cached reduced Groebner basis."""
+    """An ideal given by generators, with its reduced Groebner basis, which
+    is computed on construction."""
 
     __slots__ = ("p", "nvars", "gens", "_gb")
 
@@ -389,14 +377,12 @@ class Ideal:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "gens", tuple(gens))
-        object.__setattr__(self, "_gb", None)
+        object.__setattr__(self, "_gb", tuple(groebner_basis(gens)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Ideal is immutable")
 
     def groebner_basis(self) -> tuple[Poly, ...]:
-        if self._gb is None:
-            object.__setattr__(self, "_gb", tuple(groebner_basis(self.gens)))
         return self._gb
 
     def is_m_primary_or_unit(self) -> bool:

@@ -212,3 +212,25 @@ def brute_force_max_difference(pair, d, lo, hi, cap):
             maximal.append(c)
     assert len(maximal) == 1, f"expected a unique maximum, got {maximal}"
     return maximal[0]
+
+
+def walk_max_difference(pair, d):
+    """The maximal difference multiset over the minimal pair ``pair`` by the
+    walk over every value t in (b_n, d], one copy of t at a time, with
+    admissibility and regularity restated inline.  No closed form is used
+    for the values above the largest entry of the pair."""
+    n, a0, b0 = pair.n, pair.a.entries, pair.b.entries
+    if len(b0) - len(a0) < n:
+        return ()
+    out = []
+    for t in range(b0[n - 1] + 1, d + 1):
+        k = 0
+        while True:
+            a = sorted(a0 + (t,) * (k + 1))
+            b = sorted(b0 + (t,) * (k + 1))
+            if max(b[-1], a[-1] - 1) <= d and all(a[i] > b[n + i] for i in range(len(a))):
+                k += 1
+            else:
+                break
+        out.extend([t] * k)
+    return tuple(out)

@@ -18,6 +18,7 @@ from pnbundles.bundles import (
     verify_bundle,
 )
 from pnbundles.errors import (
+    BadInput,
     EmptyA,
     NotABundle,
     NotAdmissible,
@@ -194,9 +195,6 @@ def test_slope_examples():
     euler = BettiPair(2, [1], [0, 0, 0])
     mu3, verdict3 = slope_and_semistability(euler)
     assert (mu3, verdict3) == (Fraction(1, 2), True)
-    # the displayed-sign variant rejects it
-    _, displayed = slope_and_semistability(euler, displayed_sign=True)
-    assert displayed is False
     # a genuinely destabilized pair: b_1 far below -slope
     bad = BettiPair(2, [1], [-5, 0, 0])
     mu4, verdict4 = slope_and_semistability(bad)
@@ -314,6 +312,14 @@ def test_pres_matrix_validation():
     rows = [[Poly.variable(0, P, 4)] for _ in range(5)]  # degree 1, want 2
     with pytest.raises(ValueError):
         PresMatrix(pair, P, rows)
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 2**31 + 11])
+def test_from_json_rejects_a_bad_modulus(p):
+    # p = 0 used to end in a ZeroDivisionError, and p = 4 was accepted
+    doc = explicit_matrix(BettiPair(3, [1], [0, 0, 0, 0]), P).to_json()
+    with pytest.raises(BadInput, match="modulus"):
+        PresMatrix.from_json({**doc, "p": p})
 
 
 def test_pres_matrix_json_round_trip():

@@ -371,6 +371,7 @@ LATTICE = ["lattice", "--n", "3", "--seq", "5,4", "--anchor=-1", "--format", "js
     (LATTICE + ["100000"], "1024"),  # a node count with more digits than str() allows
     (DEFORM + ["--samples", "100000000"], "1000"),
     (DEFORM + ["--samples", "-1"], "1000"),
+    (LATTICE + ["100000000"], "1024"),  # the lattice stops before it walks to d
 ])
 def test_work_bounded_by_flag_values(argv, bound):
     # a separate process, so that unbounded work fails the test instead of hanging it

@@ -8,7 +8,7 @@ from pnbundles.generate import bundle_sequences, bundle_sequences_by_reg, max_di
 from pnbundles.hilbert import HilbertFn, is_valid_hilbert, minimal_betti
 from pnbundles.seqs import IntSeq, is_sub_multiset
 
-from _oracles import brute_force_bundle_sequences, brute_force_max_difference
+from _oracles import brute_force_bundle_sequences, brute_force_max_difference, walk_max_difference
 
 
 def test_rank_four_degree_nine_golden():
@@ -90,6 +90,22 @@ def test_max_difference_matches_brute_force(h, d):
     assert cmax.entries == want
     # the caps really were generous enough for the oracle to be exhaustive
     assert all(cmax.count(t) < cap for t in set(cmax))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_max_difference_matches_walk(n):
+    # the closed form above the largest entry against the walk up to d
+    cases = 0
+    for r in range(1, 7):
+        for h0 in bundle_sequences_by_reg(n, r, 1):
+            for twist in (-2, 0, 3):
+                h = HilbertFn(n, h0.s0 + twist, h0.seq)
+                base = minimal_betti(h)
+                reg = base.regularity()
+                for d in range(reg, reg + 8):
+                    assert max_difference(h, d).entries == walk_max_difference(base, d), (h, d)
+                    cases += 1
+    assert cases >= 100
 
 
 def test_max_difference_split_low_rank():

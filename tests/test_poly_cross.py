@@ -6,7 +6,9 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from pnbundles.poly import Ideal, Poly, normal_form
+from pnbundles.betti import BettiPair
+from pnbundles.bundles import random_minimal_map, verify_bundle
+from pnbundles.poly import Ideal, Poly, groebner_basis, maximal_minors, normal_form
 
 PRIMES = (7, 101, 32003)
 
@@ -39,24 +41,20 @@ def _random_polys(rng, p, nvars, count, max_terms=4, max_exp=3):
     return out
 
 
+def sympy_basis(gens, p, nvars):
+    """The reduced grevlex basis from sympy, as a set of term sets."""
+    syms = sympy.symbols(f"x0:{nvars}")
+    ref = sympy.groebner([to_sympy(g, syms) for g in gens], syms, order="grevlex", domain=sympy.GF(p))
+    return {frozenset(from_sympy(q, p, nvars).terms.items()) for q in ref.polys}
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_reduced_basis_matches_sympy(p):
     rng = random.Random(p)
-    nvars = 3
-    gens_syms = sympy.symbols(f"x0:{nvars}")
     for _ in range(15):
-        gens = _random_polys(rng, p, nvars, rng.randrange(2, 4))
+        gens = _random_polys(rng, p, 3, rng.randrange(2, 4))
         ours = {frozenset(g.terms.items()) for g in Ideal(gens).groebner_basis()}
-        ref = sympy.groebner(
-            [to_sympy(g, gens_syms) for g in gens],
-            gens_syms,
-            order="grevlex",
-            domain=sympy.GF(p),
-        )
-        theirs = {
-            frozenset(from_sympy(q, p, nvars).terms.items()) for q in ref.polys
-        }
-        assert ours == theirs
+        assert ours == sympy_basis(gens, p, 3)
 
 
 def test_normal_form_matches_sympy_reduction():
@@ -80,3 +78,17 @@ def test_normal_form_matches_sympy_reduction():
             nvars,
         )
         assert got == want
+
+
+@pytest.mark.parametrize("a,b,bundle", [
+    ((1, 2), (0, 0, 0, 0, 0), True),
+    ((1, 3), (0, 0, 0, 0, 1), True),
+    ((1, 2), (0, 0, 0, 1, 1), False),  # a_1 <= b_4: a zero block
+])
+def test_minor_ideals_match_sympy(a, b, bundle):
+    # the inputs that verify_bundle hands to the engine
+    m = random_minimal_map(BettiPair(3, a, b), 32003, seed=7)
+    assert verify_bundle(m) is bundle
+    minors = list(dict.fromkeys(f for f in maximal_minors(m.rows, len(a)) if f))
+    ours = {frozenset(g.terms.items()) for g in groebner_basis(minors)}
+    assert ours == sympy_basis(minors, 32003, 4)
