@@ -1,15 +1,23 @@
 """Generation of bundle sequences and of maximal difference multisets.
 
-Bundle sequences of fixed rank and degree are built tail-first: a sequence
-is a head prepended to a shorter sequence of the same rank, so generation
-reduces to a constrained composition problem with memoized suffix sets.
+Bundle sequences of fixed rank are built tail-first: a sequence is a head
+prepended to a shorter sequence of the same rank, so generation reduces to a
+constrained composition problem.  One table, filled degree by degree, holds
+the sequences of every degree from r up; its count-only twin sizes that table
+before any sequence is built.
 """
 
 from __future__ import annotations
 
-from .errors import RegularityTooSmall
+from .errors import BadInput, RegularityTooSmall
 from .hilbert import BundleSeq, HilbertFn, minimal_betti
 from .seqs import IntSeq
+
+# Bounds on the table of sequences that one call fills: the number of
+# sequences over every degree from r to the largest one asked for (tails
+# included), and the entries of one sequence, up to D - r + 1 at degree D.
+MAX_SEQUENCES = 10**6
+MAX_LENGTH = 64
 
 
 def _check_n_r(n: int, r: int) -> None:
@@ -17,30 +25,74 @@ def _check_n_r(n: int, r: int) -> None:
         raise ValueError("need integer n >= 1 and r >= 1")
 
 
+def _check_size(n: int, r: int, top: int) -> None:
+    """Refuse, with BadInput, to fill the table up to degree r + top when it
+    would exceed MAX_SEQUENCES or MAX_LENGTH.
+
+    at_least[x][y] counts the sequences of degree r + x whose head is >= y;
+    a head h <= e of degree r + e takes any tail of degree r + e - h whose
+    head is >= min(h, n), except (r) after h = r.
+    """
+    if top + 1 > MAX_LENGTH:
+        raise BadInput(f"enumerate would build sequences of {top + 1} entries, more than {MAX_LENGTH}")
+    at_least = [[1] * (min(r, top) + 1)]  # the sequence (r)
+    total = 1
+    for e in range(1, top + 1):
+        row = [0] * (e + 2)
+        for h in range(e, 0, -1):
+            tails = at_least[e - h]
+            y = min(h, n)
+            row[h] = row[h + 1] + (tails[y] if y < len(tails) else 0) - (h == r == e)
+        row[0] = row[1]
+        at_least.append(row)
+        total += row[1]
+        if total > MAX_SEQUENCES:
+            break
+    if total > MAX_SEQUENCES:
+        raise BadInput(f"enumerate would build more than {MAX_SEQUENCES} sequences")
+
+
+def _sequences(n: int, r: int, top: int) -> list[tuple[tuple[int, ...], ...]]:
+    """table[e] holds the value tuples of every bundle sequence of rank r and
+    degree r + e, for e = 0..top."""
+    _check_size(n, r, top)
+    table = [((r,),)]
+    for e in range(1, top + 1):
+        table.append(tuple(
+            (head,) + tail
+            for head in range(1, e + 1)
+            for tail in table[e - head]
+            # no descent below n, and no (r, r) at the end
+            if (tail[0] >= head or tail[0] >= n) and not (head == r == e)
+        ))
+    return table
+
+
 def bundle_sequences(n: int, r: int, degree: int) -> list[BundleSeq]:
-    """All bundle sequences over P^n with rank r and entry sum ``degree``."""
+    """All bundle sequences over P^n with rank r and entry sum ``degree``.
+
+    Raises BadInput past MAX_SEQUENCES or MAX_LENGTH.
+    """
     _check_n_r(n, r)
-    memo: dict[int, tuple[tuple[int, ...], ...]] = {}
-
-    def suffixes(d: int) -> tuple[tuple[int, ...], ...]:
-        if d in memo:
-            return memo[d]
-        out = []
-        if d == r:
-            out.append((r,))
-        for head in range(1, d - r + 1):
-            for tail in suffixes(d - head):
-                if tail[0] < head and tail[0] < n:
-                    continue
-                if len(tail) == 1 and head == r:
-                    continue
-                out.append((head,) + tail)
-        memo[d] = tuple(out)
-        return memo[d]
-
     if degree < r:
         return []
-    return sorted(BundleSeq(n, values) for values in suffixes(degree))
+    return [BundleSeq(n, values) for values in sorted(_sequences(n, r, degree - r)[-1])]
+
+
+def _regularity(values: tuple[int, ...], s0: int) -> int:
+    """Regularity of the minimal pair of the Hilbert function with anchor s0
+    and bundle sequence ``values``: b holds the upward jumps of the profile
+    and a the downward ones, so it is
+    max(s0 + last upward jump, s0 + last downward jump - 1)."""
+    up = down = None
+    prev = 0
+    for i, v in enumerate(values):
+        if v > prev:
+            up = i
+        elif v < prev:
+            down = i
+        prev = v
+    return s0 + (up if down is None else max(up, down - 1))
 
 
 def bundle_sequences_by_reg(n: int, r: int, d: int) -> list[HilbertFn]:
@@ -49,16 +101,18 @@ def bundle_sequences_by_reg(n: int, r: int, d: int) -> list[HilbertFn]:
     The regularity of a normalized function is at least ceil(deg/r) - 2, so
     only degrees up to r*(d+2) can occur; each sequence gets the unique
     anchor that normalizes it, then the actual regularity is checked.
+    Raises BadInput past MAX_SEQUENCES or MAX_LENGTH.
     """
     _check_n_r(n, r)
+    top = r * (d + 1)
+    if top < 0:
+        return []
     out = []
-    for degree in range(r, r * (d + 2) + 1):
-        anchor = -((-degree) // r)  # ceil(degree / r)
-        for seq in bundle_sequences(n, r, degree):
-            h = HilbertFn(n, anchor - seq.m, seq)
-            if minimal_betti(h).regularity() <= d:
-                out.append(h)
-    return sorted(out, key=lambda h: (h.degree, h.seq.values, h.s0))
+    for e, row in enumerate(_sequences(n, r, top)):
+        anchor = -((-(r + e)) // r)  # ceil(degree / r)
+        kept = [v for v in row if _regularity(v, anchor - len(v)) <= d]
+        out.extend(HilbertFn(n, anchor - len(v), BundleSeq(n, v)) for v in sorted(kept))
+    return out
 
 
 def max_difference(h: HilbertFn, d: int) -> IntSeq:

@@ -28,10 +28,10 @@ class BundleSeq(Frozen):
     def __init__(self, n: int, values):
         if not isinstance(n, int) or n < 1:
             raise ValueError(f"ambient dimension must be a positive integer, got {n!r}")
-        vals = tuple(int(v) for v in values)
+        vals = tuple(map(int, values))
         if not vals:
             raise ValueError("bundle sequence must be nonempty")
-        if any(v <= 0 for v in vals):
+        if min(vals) <= 0:
             raise ValueError(f"bundle sequence entries must be positive: {vals}")
         if len(vals) >= 2 and vals[-2] == vals[-1]:
             raise ValueError(f"second-to-last entry must differ from the rank: {vals}")

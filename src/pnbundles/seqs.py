@@ -13,6 +13,10 @@ from typing import Iterable, Iterator
 
 from .errors import BadInput, NotSubMultiset
 
+# The most values one caret comma list may expand to; inspecting a Hilbert
+# function takes time quadratic in its length.
+MAX_VALUES = 1000
+
 
 class Frozen:
     """An immutable value: equal exactly when of one type with equal slots.
@@ -139,11 +143,13 @@ def parse_values(text: str) -> list[int]:
     """Expand a comma list with caret repetition, e.g. ``1^5,4`` or ``-1^5,0``.
 
     Order is preserved; an empty or blank string expands to the empty list.
+    Raises BadInput, before expanding anything, when the list would hold
+    more than MAX_VALUES values.
     """
     text = text.strip()
     if not text:
         return []
-    out: list[int] = []
+    parts: list[tuple[int, int]] = []
     for part in text.split(","):
         part = part.strip()
         if not part:
@@ -156,13 +162,15 @@ def parse_values(text: str) -> list[int]:
                 raise BadInput(f"bad caret component {part!r}") from None
             if times < 0:
                 raise BadInput(f"negative repetition in {part!r}")
-            out.extend([value] * times)
         else:
             try:
-                out.append(int(part))
+                value, times = int(part), 1
             except ValueError:
                 raise BadInput(f"bad integer {part!r}") from None
-    return out
+        parts.append((value, times))
+    if sum(times for _, times in parts) > MAX_VALUES:
+        raise BadInput(f"a sequence may hold at most {MAX_VALUES} values")
+    return [value for value, times in parts for _ in range(times)]
 
 
 def parse_seq(text: str) -> IntSeq:

@@ -234,3 +234,129 @@ def walk_max_difference(pair, d):
                 break
         out.extend([t] * k)
     return tuple(out)
+
+
+class ScanLattice:
+    """The Betti lattice over h up to regularity d, kept as IntSeq nodes.
+
+    Up-sets come from a sub-multiset scan over every node, covers from value
+    counts, and every node's pair from ``BettiPair.add_common``: no
+    multiplicity vectors, strides or closed forms.
+    """
+
+    def __init__(self, h, d):
+        from itertools import product
+
+        from pnbundles.generate import max_difference_counts
+        from pnbundles.hilbert import minimal_betti
+        from pnbundles.seqs import IntSeq
+
+        counts = list(max_difference_counts(h, d))
+        self.h, self.d = h, d
+        self.base = minimal_betti(h)
+        self.cmax = IntSeq(t for t, k in counts for _ in range(k))
+        nodes = []
+        for mults in product(*(range(k + 1) for _, k in counts)):
+            nodes.append(IntSeq(t for (t, _), m in zip(counts, mults) for _ in range(m)))
+        nodes.sort(key=lambda c: c.entries)
+        self.nodes = tuple(nodes)
+        self._index = {c: i for i, c in enumerate(nodes)}
+        self._counters = [c.counter() for c in nodes]
+
+    def pair(self, c):
+        return self.base.add_common(c)
+
+    def up_set(self, c):
+        want = c.counter().items()
+        return tuple(
+            x for x, cx in zip(self.nodes, self._counters) if all(cx[t] >= k for t, k in want)
+        )
+
+    def hasse(self):
+        from pnbundles.seqs import IntSeq
+
+        edges = []
+        distinct = sorted(set(self.cmax.entries))
+        for c in self.nodes:
+            for t in distinct:
+                if c.count(t) < self.cmax.count(t):
+                    edges.append((c, IntSeq(c.entries + (t,))))
+        return edges
+
+    def export_dot(self):
+        lines = [
+            "digraph betti_lattice {",
+            "  rankdir=BT;",
+            '  label="edges point from a pair to its specializations; stratum closures are ordered the other way";',
+        ]
+        for i, c in enumerate(self.nodes):
+            p = self.pair(c)
+            label = f"c={c} | a={p.a} b={p.b} | q={p.grading_q()}"
+            lines.append(f'  n{i} [label="{label}"];')
+        for x, y in self.hasse():
+            lines.append(f"  n{self._index[x]} -> n{self._index[y]};")
+        lines.append("}")
+        return "\n".join(lines) + "\n"
+
+    def export_json(self):
+        import json
+
+        nodes = []
+        for c in self.nodes:
+            p = self.pair(c)
+            nodes.append(
+                {
+                    "c": c.to_json(),
+                    "a": p.a.to_json(),
+                    "b": p.b.to_json(),
+                    "grade": len(c),
+                    "regularity": p.regularity(),
+                    "closure_contains": [x.to_json() for x in self.up_set(c)],
+                }
+            )
+        payload = {
+            "n": self.h.n,
+            "s0": self.h.s0,
+            "B": list(self.h.seq.values),
+            "d": self.d,
+            "base": {"a": self.base.a.to_json(), "b": self.base.b.to_json()},
+            "cmax": self.cmax.to_json(),
+            "nodes": nodes,
+            "edges": [[x.to_json(), y.to_json()] for x, y in self.hasse()],
+        }
+        return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def memo_bundle_sequences_by_reg(n, r, d):
+    """Normalized Hilbert functions of regularity <= d, one degree at a
+    time: a fresh recursive suffix memo per degree, a ``HilbertFn`` for every
+    candidate and its regularity from ``minimal_betti``."""
+    from pnbundles.hilbert import BundleSeq, HilbertFn, minimal_betti
+
+    def sequences(degree):
+        memo = {}
+
+        def suffixes(e):
+            if e in memo:
+                return memo[e]
+            out = [(r,)] if e == r else []
+            for head in range(1, e - r + 1):
+                for tail in suffixes(e - head):
+                    if tail[0] < head and tail[0] < n:
+                        continue
+                    if len(tail) == 1 and head == r:
+                        continue
+                    out.append((head,) + tail)
+            memo[e] = out
+            return out
+
+        return suffixes(degree) if degree >= r else []
+
+    out = []
+    for degree in range(r, r * (d + 2) + 1):
+        anchor = -((-degree) // r)
+        for values in sequences(degree):
+            h = HilbertFn(n, anchor - len(values), BundleSeq(n, values))
+            if minimal_betti(h).regularity() <= d:
+                out.append(h)
+    return sorted(out, key=lambda h: (h.degree, h.seq.values, h.s0))

@@ -372,6 +372,10 @@ LATTICE = ["lattice", "--n", "3", "--seq", "5,4", "--anchor=-1", "--format", "js
     (DEFORM + ["--samples", "100000000"], "1000"),
     (DEFORM + ["--samples", "-1"], "1000"),
     (LATTICE + ["100000000"], "1024"),  # the lattice stops before it walks to d
+    (["enumerate", "--n", "3", "--rank", "4", "--degree", "60"], "1000000"),  # 1.8e9 sequences
+    (["enumerate", "--n", "3", "--rank", "4", "--max-reg", "12"], "1000000"),  # 1.2e9 candidates
+    (["hilbert", "--n", "3", "--seq", "1^3000000,4"], "1000"),  # refused before the caret expands
+    (["enumerate", "--n", "3", "--rank", "2", "--degree", "1200"], "64"),  # one sequence, 1199 entries
 ])
 def test_work_bounded_by_flag_values(argv, bound):
     # a separate process, so that unbounded work fails the test instead of hanging it

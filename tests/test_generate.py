@@ -2,13 +2,19 @@
 
 import pytest
 
+from pnbundles import generate
 from pnbundles.betti import BettiPair
-from pnbundles.errors import RegularityTooSmall
+from pnbundles.errors import BadInput, RegularityTooSmall
 from pnbundles.generate import bundle_sequences, bundle_sequences_by_reg, max_difference
 from pnbundles.hilbert import HilbertFn, is_valid_hilbert, minimal_betti
 from pnbundles.seqs import IntSeq, is_sub_multiset
 
-from _oracles import brute_force_bundle_sequences, brute_force_max_difference, walk_max_difference
+from _oracles import (
+    brute_force_bundle_sequences,
+    brute_force_max_difference,
+    memo_bundle_sequences_by_reg,
+    walk_max_difference,
+)
 
 
 def test_rank_four_degree_nine_golden():
@@ -146,3 +152,42 @@ def test_by_reg_small_bounds():
     assert bundle_sequences_by_reg(3, 4, -1) == []
     assert bundle_sequences_by_reg(3, 4, -2) == []
     assert [(h.s0, h.seq.values) for h in bundle_sequences_by_reg(3, 4, 0)] == [(0, (4,))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_by_reg_matches_memo_oracle(n):
+    cases = [(r, d) for r in range(1, 7) for d in range(-2, 4)] + ([(6, 4)] if n == 4 else [])
+    for r, d in cases:
+        if n == 1 and r >= 5 and d == 3:
+            # 1,015,808 and 16,515,072 candidates: past MAX_SEQUENCES
+            with pytest.raises(BadInput, match=str(generate.MAX_SEQUENCES)):
+                bundle_sequences_by_reg(n, r, d)
+            continue
+        assert bundle_sequences_by_reg(n, r, d) == memo_bundle_sequences_by_reg(n, r, d), (r, d)
+
+
+def _table_size(n, r, degree):
+    """Sequences of rank r and of every degree from r to ``degree``, by brute force."""
+    return sum(len(brute_force_bundle_sequences(n, r, e)) for e in range(r, degree + 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sequence_bound_is_exact(n, monkeypatch):
+    # the count-only twin refuses exactly when the table would pass the bound
+    for r in range(1, 5):
+        for degree in range(r, 12):
+            size = _table_size(n, r, degree)
+            monkeypatch.setattr(generate, "MAX_SEQUENCES", size)
+            assert {s.values for s in bundle_sequences(n, r, degree)} == brute_force_bundle_sequences(n, r, degree)
+            monkeypatch.setattr(generate, "MAX_SEQUENCES", size - 1)
+            with pytest.raises(BadInput, match=f"more than {size - 1} sequences"):
+                bundle_sequences(n, r, degree)
+
+
+def test_sequence_length_bound():
+    # rank 2 below n = 3: the one sequence of degree D is (1, ..., 1, 2), of D - 1 entries
+    longest = generate.MAX_LENGTH + 1
+    assert [s.values for s in bundle_sequences(3, 2, longest)] == [(1,) * (longest - 2) + (2,)]
+    for call in (lambda: bundle_sequences(3, 2, longest + 1), lambda: bundle_sequences_by_reg(3, 2, 31)):
+        with pytest.raises(BadInput, match=f"more than {generate.MAX_LENGTH}"):
+            call()

@@ -2,15 +2,20 @@
 
 import json
 import random
+from math import prod
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pnbundles.betti import BettiPair
-from pnbundles.errors import RegularityTooSmall, UnknownFormat
-from pnbundles.generate import bundle_sequences
+from pnbundles.errors import BadInput, RegularityTooSmall, UnknownFormat
+from pnbundles.generate import bundle_sequences, bundle_sequences_by_reg, max_difference_counts
 from pnbundles.hilbert import HilbertFn, minimal_betti
-from pnbundles.lattice import BettiLattice
+from pnbundles.lattice import MAX_NODES, BettiLattice
 from pnbundles.seqs import IntSeq, is_sub_multiset
+
+from _oracles import ScanLattice
 
 
 @pytest.fixture
@@ -177,3 +182,72 @@ def test_lattice_agrees_with_bounded_enumeration(anchor, B, d):
     box = enumerate_admissible(3, base.r, base.c1(), d)
     filtered = {p for p in box if hilbert_of_betti(p) == h}
     assert node_pairs == filtered
+
+
+def _assert_matches_scan(lat, oracle):
+    assert lat.nodes == oracle.nodes
+    assert lat.hasse() == oracle.hasse()
+    assert lat.export("dot") == oracle.export_dot()
+    assert lat.export("json") == oracle.export_json()
+    for c in lat.nodes:
+        assert lat.up_set(c) == oracle.up_set(c)
+
+
+GRID_SMALL = 16  # the scan oracle is quadratic in the node count
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_lattice_matches_scan_oracle(n):
+    # every normalized h of rank <= 6 and regularity <= 1, twisted by -2, 0
+    # and 3, with d from reg to reg+4: lattices of at most GRID_SMALL nodes
+    # are compared in full, and past MAX_NODES the lattice must refuse
+    compared = 0
+    for r in range(1, 7):
+        for h0 in bundle_sequences_by_reg(n, r, 1):
+            for twist in (-2, 0, 3):
+                h = HilbertFn(n, h0.s0 + twist, h0.seq)
+                reg = minimal_betti(h).regularity()
+                for d in range(reg, reg + 5):
+                    size = prod(k + 1 for _, k in max_difference_counts(h, d))
+                    if size > MAX_NODES:
+                        with pytest.raises(BadInput, match=str(MAX_NODES)):
+                            BettiLattice(h, d)
+                    elif size <= GRID_SMALL:
+                        _assert_matches_scan(BettiLattice(h, d), ScanLattice(h, d))
+                        compared += 1
+    assert compared > 1000
+
+
+@pytest.mark.parametrize("twist", [0, 3])
+def test_lattice_matches_scan_oracle_at_512_nodes(twist):
+    # the benchmark's lattice: nine values of multiplicity one
+    h, d = HilbertFn(3, -1 + twist, [5, 4]), 8 + twist
+    lat = BettiLattice(h, d)
+    assert len(lat) == 512
+    _assert_matches_scan(lat, ScanLattice(h, d))
+
+
+_POOL = [
+    (n, h.seq) for n in range(1, 5) for r in range(1, 7) for h in bundle_sequences_by_reg(n, r, 1)
+]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.sampled_from(_POOL), st.integers(-3, 3), st.integers(0, 5), st.data())
+def test_lattice_is_a_product_of_chains(item, anchor, slack, data):
+    n, seq = item
+    h = HilbertFn(n, anchor, seq)
+    d = minimal_betti(h).regularity() + slack
+    assume(prod(k + 1 for _, k in max_difference_counts(h, d)) <= MAX_NODES)
+    lat = BettiLattice(h, d)
+    x, y = (data.draw(st.sampled_from(lat.nodes)) for _ in range(2))
+    values = set(lat.cmax)
+    meet, join = lat.meet(x, y), lat.join(x, y)
+    for t in values:
+        assert meet.count(t) == min(x.count(t), y.count(t))
+        assert join.count(t) == max(x.count(t), y.count(t))
+    assert set(meet) | set(join) <= values
+    assert set(lat.up_set(join)) == set(lat.up_set(x)) & set(lat.up_set(y))
+    for lo, hi in lat.hasse():
+        assert lat.grade(hi) == lat.grade(lo) + 1
+        assert is_sub_multiset(lo, hi)

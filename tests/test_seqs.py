@@ -10,6 +10,7 @@ from pnbundles.errors import BadInput, NotSubMultiset
 from pnbundles.hilbert import BundleSeq, HilbertFn
 from pnbundles.poly import parse_poly
 from pnbundles.seqs import (
+    MAX_VALUES,
     IntSeq,
     is_sub_multiset,
     parse_seq,
@@ -137,6 +138,13 @@ def test_json_round_trip():
 ])
 def test_parse_values(text, want):
     assert parse_values(text) == want
+
+
+def test_parse_values_bounds_the_expanded_length():
+    assert parse_values(f"1^{MAX_VALUES - 1},4") == [1] * (MAX_VALUES - 1) + [4]
+    for text in (f"1^{MAX_VALUES},4", f"0,1^{10**12}", ",".join(["7"] * (MAX_VALUES + 1))):
+        with pytest.raises(BadInput, match=str(MAX_VALUES)):
+            parse_values(text)
 
 
 def test_parse_seq_sorts():
