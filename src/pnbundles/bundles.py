@@ -26,6 +26,10 @@ from .errors import (
 from .poly import Ideal, Poly, check_prime, format_poly, maximal_minors, monomials, parse_poly
 from .seqs import Frozen, IntSeq
 
+# random_minimal_map draws one coefficient for every monomial of every entry;
+# 10^5 of them take about a second to draw and print
+MAX_MONOMIALS = 10**5
+
 
 class PresMatrix(Frozen):
     """A homogeneous matrix of forms presenting a candidate bundle."""
@@ -137,17 +141,38 @@ def _random_form(p: int, nvars: int, degree: int, rng: random.Random) -> Poly:
     return Poly(p, nvars, terms)
 
 
+def _monomial_count(pair: BettiPair) -> int:
+    """The number of monomials in all entries of the pair's shape, counted
+    only until it passes MAX_MONOMIALS.  An entry of degree d has C(d + n, n),
+    reached through C(d + i, i) for i = 1..n, which grow with i."""
+    total = 0
+    for bi in pair.b.entries:
+        for aj in pair.a.entries:
+            d, count = aj - bi, 1
+            if d > 0:
+                for i in range(1, pair.n + 1):
+                    count = count * (d + i) // i
+                    if total + count > MAX_MONOMIALS:
+                        return total + count
+                total += count
+    return total
+
+
 def random_minimal_map(pair: BettiPair, prime: int, seed) -> PresMatrix:
     """A seeded random minimal matrix of the pair's shape.
 
     Entries of positive required degree get uniformly random forms (every
     monomial coefficient uniform in F_p, zero included); entries of degree
     <= 0 are zero, which in particular forces the zero block of any index
-    violating admissibility.  No admissibility check is made here.
+    violating admissibility.  No admissibility check is made here.  Raises
+    BadInput, before any draw, when the entries have more than MAX_MONOMIALS
+    monomials in all.
     """
-    rng = random.Random(seed)
     nvars = pair.n + 1
     a, b = pair.a.entries, pair.b.entries
+    if _monomial_count(pair) > MAX_MONOMIALS:
+        raise BadInput(f"a random map of this shape would draw more than {MAX_MONOMIALS} coefficients")
+    rng = random.Random(seed)
     rows = []
     for bi in b:
         row = []

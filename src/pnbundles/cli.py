@@ -35,6 +35,9 @@ from .seqs import parse_seq, parse_values
 DEFAULT_PRIME = 32003
 _PRIME_ENV = "PNBUNDLES_PRIME"
 MAX_SAMPLES = 1000  # each sample minimizes and verifies one fiber
+# HilbertFn.value sums its window n times for each value printed: at this
+# bound the widest window (1000 values) prints in about 3 s
+MAX_HILBERT_N = 64
 
 
 def _default_prime() -> int:
@@ -82,6 +85,8 @@ def _cmd_enumerate(args) -> str:
 
 
 def _cmd_hilbert(args) -> str:
+    if args.n > MAX_HILBERT_N:
+        raise BadInput(f"hilbert --n must be at most {MAX_HILBERT_N}, got {args.n}")
     h = _hilbert_from_args(args)
     base = minimal_betti(h)
     normalized, twist = normalize(h)

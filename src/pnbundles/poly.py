@@ -10,10 +10,11 @@ primary to the irrelevant maximal ideal.
 
 from __future__ import annotations
 
-import heapq
 import re
+from heapq import heapify, heappop, heappush
 from itertools import combinations, combinations_with_replacement
 from math import isqrt
+from operator import itemgetter, mul
 
 from .errors import BadInput, ModulusMismatch, ShapeError
 from .seqs import Frozen
@@ -34,10 +35,6 @@ def check_prime(p: int) -> int:
 def grevlex_key(exps: tuple[int, ...]):
     """Sort key: larger key means larger monomial in grevlex."""
     return (sum(exps), tuple(-e for e in reversed(exps)))
-
-
-def _divides(e: tuple[int, ...], f: tuple[int, ...]) -> bool:
-    return all(a <= b for a, b in zip(e, f))
 
 
 def _lcm(e: tuple[int, ...], f: tuple[int, ...]) -> tuple[int, ...]:
@@ -126,10 +123,15 @@ class Poly(Frozen):
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._compat(other)
-        out: dict[tuple[int, ...], int] = {}
+        if not (self and other):
+            return Poly.zero(self.p, self.nvars)
+        pk = _Packing(self.nvars, self.degree() + other.degree())
+        terms = pk.pack_terms(other.terms).items()
+        out: dict[int, int] = {}
+        keys: list[int] = []  # unread: a product needs no order
         for e1, c1 in self.terms.items():
-            _sub_multiple(out, -c1, e1, other.terms.items(), self.p)
-        return Poly(self.p, self.nvars, out)
+            _sub_multiple(out, keys, -c1, pk.pack(e1), terms, self.p)
+        return Poly(self.p, self.nvars, pk.unpack_terms(out))
 
     def scale(self, c: int) -> "Poly":
         c %= self.p
@@ -241,66 +243,129 @@ def normal_form(f: Poly, basis) -> Poly:
     Every term of the result is divisible by no leading monomial of the
     basis; when the basis is a Groebner basis the remainder is unique.
     """
-    records = []
+    basis = [g for g in basis if g]
     for g in basis:
-        if g:
-            f._compat(g)
-            records.append(_record(g.terms, f.p))
-    return Poly(f.p, f.nvars, _reduce(f.terms, records, f.p))
+        f._compat(g)
+    if not f:
+        return f
+    pk = _Packing(f.nvars, max(g.degree() for g in [f, *basis]))
+    records = [_record(pk.pack_terms(g.terms), f.p) for g in basis]
+    return Poly(f.p, f.nvars, pk.unpack_terms(_reduce(pk.pack_terms(f.terms), records, f.p, pk.guard)))
 
 
-# The engine's bookkeeping, each datum computed once.  A basis element is a
-# record (lead exponents, terms of its monic multiple), made when it joins the
-# basis; dividing by a nonzero multiple of a polynomial leaves the same
-# remainder.  A pending pair is a heap entry (grevlex key of its lcm, i, j, lcm).
+# The engine works on packed monomials.  A basis element is a record (packed
+# lead, packed terms of its monic multiple other than the lead), made when it
+# joins the basis; dividing by a nonzero multiple of a polynomial leaves the
+# same remainder.  A pending pair is a heap entry (grevlex key of its lcm,
+# i, j, lcm).
 
 
-def _record(terms, p: int):
-    lead = max(terms, key=grevlex_key)
-    inv = pow(terms[lead], -1, p)
-    return lead, [(e, c * inv % p) for e, c in terms.items()]
+class _Packing:
+    """Monomials of bounded degree in ``nvars`` variables, each packed into
+    one int of 2 * nvars fields of equal width.
+
+    The upper fields hold the prefix sums of the exponents, the degree
+    x0+...+x_{n-1} highest and x0 lowest; for equal degree grevlex is lex on
+    these sums, so the ints compare as the monomials do.  The lower fields
+    hold the exponents themselves under a guard bit each, so that g divides t
+    exactly when ``((t | guard) - g) & guard == guard``.  Every field holds
+    values up to ``cap``.  Grevlex is degree-compatible, so while no term
+    passes degree ``cap`` no field carries into the next, and adding two
+    packed monomials packs their product.
+    """
+
+    __slots__ = ("cap", "guard", "_vars", "_shifts")
+
+    def __init__(self, nvars: int, degree: int):
+        width = degree.bit_length() + 1  # one bit more, for the guard
+        low = nvars * width
+        self.cap = (1 << (width - 1)) - 1
+        self.guard = sum(self.cap + 1 << i * width for i in range(nvars))
+        self._shifts = range(0, low, width)
+        # x_i counts once in its own exponent field and once in each prefix sum from x0+...+x_i up
+        self._vars = [(1 << i * width) + sum(1 << low + j * width for j in range(i, nvars)) for i in range(nvars)]
+
+    def pack(self, exps: tuple[int, ...]) -> int:
+        return sum(map(mul, exps, self._vars))
+
+    def unpack(self, m: int) -> tuple[int, ...]:
+        cap = self.cap
+        return tuple(m >> s & cap for s in self._shifts)
+
+    def pack_terms(self, terms: dict) -> dict:
+        return {self.pack(e): c for e, c in terms.items()}
+
+    def unpack_terms(self, work: dict) -> dict:
+        return {self.unpack(m): c for m, c in work.items()}
 
 
-def _sub_multiple(work: dict, factor: int, shift, terms, p: int) -> None:
-    """work -= factor * x^shift * (the given terms), in place."""
-    for me, mc in terms:
-        e = tuple(a + b for a, b in zip(me, shift))
-        v = (work.get(e, 0) - factor * mc) % p
-        if v:
-            work[e] = v
-        elif e in work:
-            del work[e]
+def _record(work: dict, p: int):
+    lead = max(work)
+    inv = pow(work[lead], -1, p)
+    return lead, [(m, c * inv % p) for m, c in work.items() if m != lead]
 
 
-def _reduce(terms, records, p: int) -> dict:
-    """The division loop: the leading term is divided by the first record
-    whose lead divides it, or else moved to the remainder."""
-    work = dict(terms)
-    rem: dict[tuple[int, ...], int] = {}
-    while work:
-        lt = max(work, key=grevlex_key)
-        lc = work[lt]
-        for ge, gterms in records:
-            if _divides(ge, lt):
-                _sub_multiple(work, lc, tuple(a - b for a, b in zip(lt, ge)), gterms, p)
-                break
+def _sub_multiple(work: dict, keys: list, factor: int, shift: int, terms, p: int) -> None:
+    """work -= factor * x^shift * (the given terms), in place, all packed.
+
+    The negated key of each term new to work goes on the heap ``keys``.
+    """
+    get = work.get
+    for m, c in terms:
+        m += shift
+        v = get(m)
+        if v is None:
+            work[m] = -factor * c % p
+            heappush(keys, -m)
         else:
-            rem[lt] = lc
-            del work[lt]
+            v = (v - factor * c) % p
+            if v:
+                work[m] = v
+            else:
+                del work[m]
+
+
+def _reduce(work: dict, records, p: int, guard: int, keys: list | None = None) -> dict:
+    """The division loop, which consumes work: the leading term is divided by
+    the first record whose lead divides it, or else moved to the remainder.
+
+    The heap ``keys`` holds the negated key of every term of work (all of
+    them when omitted), and may hold stale keys of terms that have cancelled
+    since.  Every term that enters work lies below the current lead, so none
+    comes back after its key was popped.
+    """
+    if keys is None:
+        keys = [-m for m in work]
+        heapify(keys)
+    rem = {}
+    while keys:
+        m = -heappop(keys)
+        c = work.pop(m, 0)
+        if c:
+            t = m | guard
+            for g, tail in records:
+                if (t - g) & guard == guard:
+                    _sub_multiple(work, keys, c, m - g, tail, p)
+                    break
+            else:
+                rem[m] = c
     return rem
 
 
-def _spoly_terms(f, g, lcm, p: int) -> dict:
-    """The S-polynomial of two records whose leads have the given lcm."""
-    work: dict[tuple[int, ...], int] = {}
-    _sub_multiple(work, -1, tuple(a - b for a, b in zip(lcm, f[0])), f[1], p)
-    _sub_multiple(work, 1, tuple(a - b for a, b in zip(lcm, g[0])), g[1], p)
-    return work
+def _spoly_work(f, g, lcm: int, p: int) -> tuple[dict, list]:
+    """The S-polynomial of two records whose leads have the given packed
+    lcm, and the heap of its keys; the leads cancel."""
+    work, keys = {}, []
+    _sub_multiple(work, keys, -1, lcm - f[0], f[1], p)
+    _sub_multiple(work, keys, 1, lcm - g[0], g[1], p)
+    return work, keys
 
 
 def _spoly(f: Poly, g: Poly) -> Poly:
-    rf, rg = _record(f.terms, f.p), _record(g.terms, g.p)
-    return Poly(f.p, f.nvars, _spoly_terms(rf, rg, _lcm(rf[0], rg[0]), f.p))
+    pk = _Packing(f.nvars, f.degree() + g.degree())
+    rf, rg = _record(pk.pack_terms(f.terms), f.p), _record(pk.pack_terms(g.terms), g.p)
+    lcm = pk.pack(_lcm(f.lead_exps(), g.lead_exps()))
+    return Poly(f.p, f.nvars, pk.unpack_terms(_spoly_work(rf, rg, lcm, f.p)[0]))
 
 
 def groebner_basis(gens) -> list[Poly]:
@@ -317,44 +382,59 @@ def groebner_basis(gens) -> list[Poly]:
     p, nvars = gens[0].p, gens[0].nvars
     for g in gens:
         gens[0]._compat(g)
-    G = [_record(g.terms, p) for g in gens]
+    pk = _Packing(nvars, max(g.degree() for g in gens))
+    G = [_record(pk.pack_terms(g.terms), p) for g in gens]
+    leads = [pk.unpack(lead) for lead, _ in G]
     heap, pending = [], set()  # pending: the (i, j) of the heap's entries
 
     def add_pairs(j: int) -> None:
-        for i in range(j):
-            lcm = _lcm(G[i][0], G[j][0])
-            heapq.heappush(heap, (grevlex_key(lcm), i, j, lcm))
+        nonlocal pk, G
+        lcms = [_lcm(leads[i], leads[j]) for i in range(j)]
+        top = max(map(sum, lcms), default=0)
+        if top > pk.cap:  # every term met while reducing this pair has degree <= top
+            old, pk = pk, _Packing(nvars, top)
+            G = [(pk.pack(old.unpack(lead)), [(pk.pack(old.unpack(m)), c) for m, c in tail]) for lead, tail in G]
+        for i, lcm in enumerate(lcms):
+            heappush(heap, (grevlex_key(lcm), i, j, lcm))
             pending.add((i, j))
 
     for j in range(1, len(G)):
         add_pairs(j)
     while heap:
-        _, i, j, lcm = heapq.heappop(heap)
+        _, i, j, lcm = heappop(heap)
         pending.discard((i, j))
-        if all(min(a, b) == 0 for a, b in zip(G[i][0], G[j][0])):
+        if all(min(a, b) == 0 for a, b in zip(leads[i], leads[j])):
             continue  # coprime leads: S-polynomial reduces to zero
+        packed = pk.pack(lcm)
+        top, guard = packed | pk.guard, pk.guard
         if any(
-            k not in (i, j) and _divides(G[k][0], lcm)
+            (top - G[k][0]) & guard == guard and k not in (i, j)
             and (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending
             for k in range(len(G))
         ):
             continue  # chain criterion
-        r = _reduce(_spoly_terms(G[i], G[j], lcm, p), G, p)
+        work, keys = _spoly_work(G[i], G[j], packed, p)
+        r = _reduce(work, G, p, guard, keys)
         if r:
             G.append(_record(r, p))
+            leads.append(pk.unpack(G[-1][0]))
             add_pairs(len(G) - 1)
-    return _interreduce(G, p, nvars)
+    return _interreduce(G, p, nvars, pk)
 
 
-def _interreduce(G, p: int, nvars: int) -> list[Poly]:
+def _interreduce(G, p: int, nvars: int, pk: _Packing) -> list[Poly]:
     """The reduced basis from the records of a Groebner basis."""
-    G = sorted(G, key=lambda rec: grevlex_key(rec[0]))
+    guard = pk.guard
     minimal: list = []
-    for rec in G:
-        if not any(_divides(h[0], rec[0]) for h in minimal):
+    for rec in sorted(G, key=itemgetter(0)):
+        if not any((rec[0] | guard) - h & guard == guard for h, _ in minimal):
             minimal.append(rec)
     # no other lead divides a minimal lead, so each keeps its lead and stays monic
-    out = [Poly(p, nvars, _reduce(t, minimal[:i] + minimal[i + 1 :], p)) for i, (_, t) in enumerate(minimal)]
+    out = []
+    for i, (lead, tail) in enumerate(minimal):
+        work = dict(tail)
+        work[lead] = 1
+        out.append(Poly(p, nvars, pk.unpack_terms(_reduce(work, minimal[:i] + minimal[i + 1 :], p, guard))))
     return out[::-1]  # by descending lead
 
 

@@ -360,3 +360,116 @@ def memo_bundle_sequences_by_reg(n, r, d):
             if minimal_betti(h).regularity() <= d:
                 out.append(h)
     return sorted(out, key=lambda h: (h.degree, h.seq.values, h.s0))
+
+
+# The Groebner engine's earlier kernel, on exponent tuples, kept as the
+# reference that the packed kernel in pnbundles.poly must match: the same
+# pair selection and criteria, the same division rule (the first record whose
+# lead divides), and a lead found by rescanning the whole work dict.
+
+
+def _grevlex_key(exps):
+    return (sum(exps), tuple(-e for e in reversed(exps)))
+
+
+def _tuple_divides(e, f):
+    return all(a <= b for a, b in zip(e, f))
+
+
+def _tuple_record(terms, p):
+    lead = max(terms, key=_grevlex_key)
+    inv = pow(terms[lead], -1, p)
+    return lead, [(e, c * inv % p) for e, c in terms.items()]
+
+
+def _tuple_sub_multiple(work, factor, shift, terms, p):
+    for me, mc in terms:
+        e = tuple(a + b for a, b in zip(me, shift))
+        v = (work.get(e, 0) - factor * mc) % p
+        if v:
+            work[e] = v
+        elif e in work:
+            del work[e]
+
+
+def _tuple_reduce(terms, records, p):
+    work = dict(terms)
+    rem = {}
+    while work:
+        lt = max(work, key=_grevlex_key)
+        lc = work[lt]
+        for ge, gterms in records:
+            if _tuple_divides(ge, lt):
+                _tuple_sub_multiple(work, lc, tuple(a - b for a, b in zip(lt, ge)), gterms, p)
+                break
+        else:
+            rem[lt] = lc
+            del work[lt]
+    return rem
+
+
+def tuple_normal_form(f, basis):
+    """Remainder of f under division by the listed polynomials, in order."""
+    from pnbundles.poly import Poly
+
+    records = [_tuple_record(g.terms, f.p) for g in basis if g]
+    return Poly(f.p, f.nvars, _tuple_reduce(f.terms, records, f.p))
+
+
+def tuple_product(f, g):
+    """f * g, one shifted copy of g for each term of f."""
+    from pnbundles.poly import Poly
+
+    work = {}
+    for e, c in f.terms.items():
+        _tuple_sub_multiple(work, -c, e, g.terms.items(), f.p)
+    return Poly(f.p, f.nvars, work)
+
+
+def tuple_groebner_basis(gens):
+    """The reduced grevlex basis, sorted by descending lead, by Buchberger's
+    algorithm with normal selection and the product and chain criteria."""
+    import heapq
+
+    from pnbundles.poly import Poly
+
+    gens = [g for g in gens if g]
+    if not gens:
+        return []
+    p, nvars = gens[0].p, gens[0].nvars
+    G = [_tuple_record(g.terms, p) for g in gens]
+    heap, pending = [], set()
+
+    def add_pairs(j):
+        for i in range(j):
+            lcm = tuple(max(a, b) for a, b in zip(G[i][0], G[j][0]))
+            heapq.heappush(heap, (_grevlex_key(lcm), i, j, lcm))
+            pending.add((i, j))
+
+    for j in range(1, len(G)):
+        add_pairs(j)
+    while heap:
+        _, i, j, lcm = heapq.heappop(heap)
+        pending.discard((i, j))
+        if all(min(a, b) == 0 for a, b in zip(G[i][0], G[j][0])):
+            continue
+        if any(
+            k not in (i, j) and _tuple_divides(G[k][0], lcm)
+            and (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending
+            for k in range(len(G))
+        ):
+            continue
+        work = {}
+        for rec, sign in ((G[i], -1), (G[j], 1)):
+            _tuple_sub_multiple(work, sign, tuple(a - b for a, b in zip(lcm, rec[0])), rec[1], p)
+        r = _tuple_reduce(work, G, p)
+        if r:
+            G.append(_tuple_record(r, p))
+            add_pairs(len(G) - 1)
+    G = sorted(G, key=lambda rec: _grevlex_key(rec[0]))
+    minimal = []
+    for rec in G:
+        if not any(_tuple_divides(h[0], rec[0]) for h in minimal):
+            minimal.append(rec)
+    out = [Poly(p, nvars, _tuple_reduce(t, minimal[:i] + minimal[i + 1 :], p)) for i, (_, t) in enumerate(minimal)]
+    return out[::-1]

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from pnbundles import bundles
 from pnbundles.betti import BettiPair, generalizes
 from pnbundles.bundles import (
     PresMatrix,
@@ -78,6 +79,20 @@ def test_random_matrix_zero_positions_and_determinism():
                 assert not m1.entry(i, j)
     with pytest.raises(NotAdmissible):
         random_matrix(BettiPair(3, [1], [0, 0, 0, 1]), P, seed=1)
+
+
+def test_random_minimal_map_bounds_its_draws(monkeypatch):
+    # (1, 3; 0^4, 1) has 4 * C(4, 3) + 4 * C(6, 3) + C(5, 3) = 106 monomials in its entries
+    pair = BettiPair(3, [1, 3], [0, 0, 0, 0, 1])
+    monkeypatch.setattr(bundles, "MAX_MONOMIALS", 106)
+    assert random_minimal_map(pair, P, seed=1) == random_matrix(pair, P, seed=1)
+    monkeypatch.setattr(bundles, "MAX_MONOMIALS", 105)
+    with pytest.raises(BadInput, match="105"):
+        random_minimal_map(pair, P, seed=1)
+    monkeypatch.undo()
+    # 4 * C(10^18 + 3, 3) monomials: refused without computing the binomial
+    with pytest.raises(BadInput, match=str(bundles.MAX_MONOMIALS)):
+        random_minimal_map(BettiPair(3, [10**18], [0, 0, 0, 0]), P, seed=1)
 
 
 def test_verify_bundle_counterexample():

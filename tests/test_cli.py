@@ -376,13 +376,28 @@ LATTICE = ["lattice", "--n", "3", "--seq", "5,4", "--anchor=-1", "--format", "js
     (["enumerate", "--n", "3", "--rank", "4", "--max-reg", "12"], "1000000"),  # 1.2e9 candidates
     (["hilbert", "--n", "3", "--seq", "1^3000000,4"], "1000"),  # refused before the caret expands
     (["enumerate", "--n", "3", "--rank", "2", "--degree", "1200"], "64"),  # one sequence, 1199 entries
+    (["hilbert", "--n", "10000000", "--seq", "1,2"], "64"),  # 10^7 passes over the window per value
+    (["hilbert", "--n", "65", "--seq", "1^999,2"], "64"),  # just past the bound
+    (["present", "--n", "3", "--a", "150", "--b", "0,0,0,0", "--mode", "random"], "100000"),  # 2.3e6 draws
 ])
 def test_work_bounded_by_flag_values(argv, bound):
+    proc = run_process(argv)
+    assert_bad_input(proc.returncode, proc.stdout, proc.stderr)
+    assert bound in json.loads(proc.stderr)["detail"]
+
+
+def run_process(argv):
     # a separate process, so that unbounded work fails the test instead of hanging it
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "pnbundles", *argv], capture_output=True, text=True, timeout=10,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert_bad_input(proc.returncode, proc.stdout, proc.stderr)
-    assert bound in json.loads(proc.stderr)["detail"]
+
+
+def test_hilbert_answers_at_the_dimension_bound():
+    # the widest window a sequence allows, at the largest n: every value prints in time
+    proc = run_process(["hilbert", "--n", str(cli.MAX_HILBERT_N), "--seq", "1^999,2"])
+    assert proc.returncode == 0, proc.stderr
+    values = json.loads(proc.stdout)["values"]
+    assert len(values) == 1004 and values["-2"] == 0 and values["1001"] > 10**100

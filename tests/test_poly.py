@@ -4,9 +4,12 @@ import random
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pnbundles.errors import BadInput, ModulusMismatch, ShapeError
 from pnbundles.poly import (
+    _MAX_EXPONENT,
     Ideal,
     Poly,
     format_poly,
@@ -80,6 +83,20 @@ def test_parse_format_round_trip():
     assert parse_poly("-x0 + x0", p, 4) == Poly.zero(p, 4)
     assert parse_poly("-x0", p, 4) == Poly.variable(0, p, 4).scale(-1)
     assert parse_poly("x0^2-x1", p, 4) == Poly.variable(0, p, 4, power=2) - Poly.variable(1, p, 4)
+
+
+@st.composite
+def polys(draw):
+    p = draw(st.sampled_from([2, 7, 101, 32003]))
+    nvars = draw(st.integers(1, 4))
+    exps = st.tuples(*[st.integers(0, 3) | st.integers(0, _MAX_EXPONENT)] * nvars)
+    return Poly(p, nvars, draw(st.dictionaries(exps, st.integers(-(10**6), 10**6), max_size=6)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(polys())
+def test_parse_inverts_format(f):
+    assert parse_poly(format_poly(f), f.p, f.nvars) == f
 
 
 @pytest.mark.parametrize("text", ["x0^-1", "x0^+1", "x0^", "+", "-", "x0+", "x0++x1", "x1_0", "3_0*x0"])

@@ -1,8 +1,11 @@
 """Cross-validation of the Groebner engine against an external system."""
 
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 sympy = pytest.importorskip("sympy")
 
@@ -92,3 +95,38 @@ def test_minor_ideals_match_sympy(a, b, bundle):
     minors = list(dict.fromkeys(f for f in maximal_minors(m.rows, len(a)) if f))
     ours = {frozenset(g.terms.items()) for g in groebner_basis(minors)}
     assert ours == sympy_basis(minors, 32003, 4)
+
+
+def sympy_m_primary(m):
+    """Whether the maximal minors of the matrix, each a sympy determinant,
+    generate the unit ideal or one primary to the irrelevant ideal."""
+    xs = sympy.symbols(f"x0:{m.pair.n + 1}")
+    rows = [[to_sympy(e, xs) for e in row] for row in m.rows]
+    minors = []
+    for sel in combinations(range(len(rows)), m.pair.l):
+        d = sympy.expand(sympy.Matrix([rows[i] for i in sel]).det(method="berkowitz"))
+        if not sympy.Poly(d, *xs, modulus=m.p).is_zero:
+            minors.append(d)
+    if not minors:
+        return False
+    G = sympy.groebner(minors, *xs, modulus=m.p, order="grevlex")
+    leads = [sympy.Poly(g, *xs).monoms(order="grevlex")[0] for g in G.exprs]
+    if any(sum(e) == 0 for e in leads):
+        return True
+    return all(any(e[i] == sum(e) > 0 for e in leads) for i in range(len(xs)))
+
+
+@st.composite
+def small_minimal_maps(draw):
+    # r from n - 1 (the minors vanish at points: never a bundle) to n + 1
+    n, l = draw(st.integers(2, 3)), draw(st.integers(1, 2))
+    r = draw(st.integers(n - 1, n + 1))
+    a = sorted(draw(st.lists(st.integers(1, 2), min_size=l, max_size=l)))
+    b = sorted(draw(st.lists(st.integers(0, 1), min_size=l + r, max_size=l + r)))
+    return random_minimal_map(BettiPair(n, a, b), 32003, draw(st.integers(0, 2**32)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(small_minimal_maps())
+def test_verify_bundle_agrees_with_sympy(m):
+    assert verify_bundle(m) is sympy_m_primary(m)

@@ -1,0 +1,80 @@
+"""The packed division kernel against the tuple kernel it replaced.
+
+``_oracles`` keeps the earlier kernel on exponent tuples, with the same pair
+selection, criteria and division rule.  Equal reduced bases, remainders and
+products, on the minor ideals the bundle test meets and on random ideals,
+show that packing changed nothing but speed; the inputs at the width limit
+show that no field carries into the next.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pnbundles.betti import BettiPair
+from pnbundles.bundles import random_minimal_map
+from pnbundles.poly import _MAX_EXPONENT, Poly, format_poly, groebner_basis, maximal_minors, normal_form, parse_poly
+
+from _oracles import tuple_groebner_basis, tuple_normal_form, tuple_product
+
+# the (a, b) shapes, all over P^3, of the benchmark's check-bundles and
+# check-degenerate documents
+SHAPES = [
+    ((1, 2), (0, 0, 0, 0, 0)),
+    ((2, 2), (0, 0, 0, 1, 1)),
+    ((1, 1, 1), (0, 0, 0, 0, 0, 0)),
+    ((1, 3), (0, 0, 0, 0, 1)),
+    ((2, 2), (0, 0, 0, 0, 0)),
+    ((2, 3), (0, 0, 0, 0, 1, 1)),
+    ((2, 2, 3), (0, 0, 0, 0, 2, 3)),
+    ((2, 3), (0, 0, 0, 0, 3)),
+    ((2, 3), (0, 0, 0, 1, 3)),
+]
+
+
+def assert_same_as_tuple_kernel(gens, probe):
+    assert gens[0] * gens[-1] == tuple_product(gens[0], gens[-1])
+    basis = groebner_basis(gens)
+    assert [format_poly(g) for g in basis] == [format_poly(g) for g in tuple_groebner_basis(gens)]
+    # division by the generators depends on their order; by the basis it does not
+    for divisors in (gens, basis):
+        assert normal_form(probe, divisors) == tuple_normal_form(probe, divisors)
+
+
+@pytest.mark.parametrize("a,b", SHAPES)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_packed_kernel_matches_tuple_kernel_on_minor_ideals(a, b, seed):
+    m = random_minimal_map(BettiPair(3, a, b), 32003, seed)
+    minors = list(dict.fromkeys(f for f in maximal_minors(m.rows, len(a)) if f))
+    linear = parse_poly("x0 + 2*x1 + 3*x2 + 4*x3", 32003, 4)
+    power = Poly.const(1, 32003, 4)
+    for _ in range(minors[0].degree()):
+        power = power * linear
+    # a member of the ideal plus a generic form of the minors' degree, which is not
+    assert_same_as_tuple_kernel(minors, minors[0] * minors[-1] + power)
+
+
+@st.composite
+def ideals(draw):
+    p = draw(st.sampled_from([7, 101, 32003]))
+    nvars = draw(st.integers(2, 4))
+    exps = st.tuples(*[st.integers(0, 2)] * nvars)
+    polys = st.dictionaries(exps, st.integers(1, p - 1), min_size=1, max_size=4).map(lambda t: Poly(p, nvars, t))
+    return draw(st.lists(polys, min_size=1, max_size=3)), draw(polys)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(ideals())
+def test_packed_kernel_matches_tuple_kernel_on_random_ideals(case):
+    assert_same_as_tuple_kernel(*case)
+
+
+@pytest.mark.parametrize("gens,probe", [
+    (["x0^5000 - x1^5000", "x0^4999*x1 - x2^5000"], "x0^4999*x2^5001 + x1^2"),
+    (["x0^3000*x1 + x2^3001", "x1^2 + x0*x2"], "x0^6000*x1*x2 + x1*x2^3000"),
+    ([f"x0^{_MAX_EXPONENT}", f"x1^{_MAX_EXPONENT}"], f"x0^{_MAX_EXPONENT - 1}*x2^{_MAX_EXPONENT} + x1^{_MAX_EXPONENT}"),
+])
+def test_packed_kernel_at_the_width_limit(gens, probe):
+    # degrees far past any fixed narrow field width: the width follows the input
+    p = 32003
+    assert_same_as_tuple_kernel([parse_poly(g, p, 3) for g in gens], parse_poly(probe, p, 3))
