@@ -123,8 +123,6 @@ class Poly(Frozen):
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._compat(other)
-        if not (self and other):
-            return Poly.zero(self.p, self.nvars)
         pk = _Packing(self.nvars, self.degree() + other.degree())
         terms = pk.pack_terms(other.terms).items()
         out: dict[int, int] = {}
@@ -246,8 +244,6 @@ def normal_form(f: Poly, basis) -> Poly:
     basis = [g for g in basis if g]
     for g in basis:
         f._compat(g)
-    if not f:
-        return f
     pk = _Packing(f.nvars, max(g.degree() for g in [f, *basis]))
     records = [_record(pk.pack_terms(g.terms), f.p) for g in basis]
     return Poly(f.p, f.nvars, pk.unpack_terms(_reduce(pk.pack_terms(f.terms), records, f.p, pk.guard)))
@@ -405,8 +401,8 @@ def groebner_basis(gens) -> list[Poly]:
         pending.discard((i, j))
         if all(min(a, b) == 0 for a, b in zip(leads[i], leads[j])):
             continue  # coprime leads: S-polynomial reduces to zero
-        packed = pk.pack(lcm)
-        top, guard = packed | pk.guard, pk.guard
+        guard, packed = pk.guard, pk.pack(lcm)
+        top = packed | guard
         if any(
             (top - G[k][0]) & guard == guard and k not in (i, j)
             and (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending

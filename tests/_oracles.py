@@ -2,9 +2,11 @@
 
 Everything here recomputes expected values from first principles, without
 touching the code paths under test: Leibniz determinants, Macaulay-matrix
-leading terms, mod-p Gaussian elimination, and dumb enumerations.
+leading terms, mod-p Gaussian elimination, dumb enumerations, and the
+Groebner engine's earlier kernel on exponent tuples.
 """
 
+import heapq
 from itertools import combinations, combinations_with_replacement, permutations
 
 
@@ -429,8 +431,6 @@ def tuple_product(f, g):
 def tuple_groebner_basis(gens):
     """The reduced grevlex basis, sorted by descending lead, by Buchberger's
     algorithm with normal selection and the product and chain criteria."""
-    import heapq
-
     from pnbundles.poly import Poly
 
     gens = [g for g in gens if g]
