@@ -125,10 +125,17 @@ def enumerate_admissible(n: int, r: int, c1: int, d: int) -> frozenset[BettiPair
     """All admissible pairs over P^n with rank r, first Chern class c1 and
     regularity at most d.
 
-    The search box comes from the finiteness argument: every entry of b is at
-    most d and every entry of a at most d+1; the number l of a-entries obeys
-    l <= c1 + r*d; and b_1 >= -c1 - (r-1)*d + l.  Split pairs (empty a) are
-    the ascending b with sum(b) = -c1 and b_last <= d.
+    Split pairs (empty a) are the ascending b with sum(b) = -c1 and
+    b_last <= d.  A pair with l > 0 entries in a needs r >= n, and its b
+    splits into three ascending blocks: B, the first n entries; M, the next
+    l, which bound a from below (a_i >= M_i + 1); and T, the top r - n.
+    Since sum(a) = c1 + sum(b), an a with those bounds exists only when
+    c1 + sum(B) + sum(T) >= l, a test that needs no M.  So T is chosen
+    first, then B up to T_1, failing (B, T) are dropped, and only then is M
+    chosen in [B_n, T_1] and a built from its bounds.  Every entry of b is
+    at most d and every entry of a at most d+1, so the regularity bound
+    holds by construction.  As the r entries of B and T are at most d, the
+    test also gives l <= c1 + r*d and b_1 >= l - c1 - (r-1)*d.
     """
     if not (isinstance(r, int) and r >= 1 and isinstance(n, int) and n >= 1):
         raise ValueError("need integer r >= 1 and n >= 1")
@@ -138,19 +145,23 @@ def enumerate_admissible(n: int, r: int, c1: int, d: int) -> frozenset[BettiPair
     if lo_split <= d:
         for b in _a_choices(lo_split, (lo_split,) * r, d, -c1):
             found.add(BettiPair(n, (), b))
-    # pairs with nonempty a exist only for r >= n
-    if r >= n:
-        for l in range(1, c1 + r * d + 1):
-            b_lo = -c1 - (r - 1) * d + l
-            if b_lo > d:
-                continue
-            for b in combinations_with_replacement(range(b_lo, d + 1), l + r):
-                target = c1 + sum(b)
-                lows = tuple(b[n + i] + 1 for i in range(l))
-                if target < sum(lows) or target > l * (d + 1):
+    if r < n:
+        return frozenset(found)
+    for l in range(1, c1 + r * d + 1):
+        b_lo = l - c1 - (r - 1) * d
+        a_max = l * (d + 1)  # the largest sum(a)
+        for top in combinations_with_replacement(range(b_lo, d + 1), r - n):
+            t1 = top[0] if top else d
+            for bottom in combinations_with_replacement(range(b_lo, t1 + 1), n):
+                fixed = c1 + sum(bottom) + sum(top)  # sum(a) - sum(M)
+                if fixed < l:
                     continue
-                for a in _a_choices(lows[0], lows, d + 1, target):
-                    pair = BettiPair(n, a, b)
-                    if pair.is_admissible() and pair.regularity() <= d:
-                        found.add(pair)
+                for mid in combinations_with_replacement(range(bottom[-1], t1 + 1), l):
+                    target = fixed + sum(mid)
+                    if target > a_max:
+                        continue
+                    lows = tuple(m + 1 for m in mid)
+                    b = bottom + mid + top
+                    for a in _a_choices(lows[0], lows, d + 1, target):
+                        found.add(BettiPair(n, a, b))
     return frozenset(found)

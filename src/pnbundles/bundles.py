@@ -94,7 +94,7 @@ class PresMatrix(Frozen):
             ):
                 raise BadInput("malformed matrix document: entries must be arrays of strings")
             rows = [[parse_poly(s, p, pair.n + 1) for s in row] for row in entries]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # n too large to index
             raise BadInput(f"malformed matrix document: {exc}") from None
         try:
             return cls(pair, p, rows)

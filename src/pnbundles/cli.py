@@ -28,6 +28,7 @@ from .bundles import (
 from .errors import BadInput, DomainError, NotABundle
 from .generate import bundle_sequences, bundle_sequences_by_reg
 from .hilbert import HilbertFn, minimal_betti, normalize
+from .jsonout import dumps
 from .lattice import BettiLattice
 from .poly import check_prime, format_poly
 from .seqs import parse_seq, parse_values
@@ -35,8 +36,8 @@ from .seqs import parse_seq, parse_values
 DEFAULT_PRIME = 32003
 _PRIME_ENV = "PNBUNDLES_PRIME"
 MAX_SAMPLES = 1000  # each sample minimizes and verifies one fiber
-# HilbertFn.value sums its window n times for each value printed: at this
-# bound the widest window (1000 values) prints in about 3 s
+# H(t) grows like t^n / n!: at this bound the widest window a sequence
+# allows (1004 values) prints values of over 100 digits
 MAX_HILBERT_N = 64
 
 
@@ -50,15 +51,11 @@ def _default_prime() -> int:
         raise BadInput(f"{_PRIME_ENV} must be an integer, got {raw!r}") from None
 
 
-def _emit_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
 def _render(args, payload, lines) -> str:
     """The payload as JSON, or else the csv/text lines; ``lines`` is only
     consumed for those formats, so it may be a lazy iterable."""
     if args.format == "json":
-        return _emit_json(payload)
+        return dumps(payload)
     return "\n".join(lines)
 
 
@@ -102,7 +99,7 @@ def _cmd_hilbert(args) -> str:
         "regularity": base.regularity(),
         "normalize_twist": twist,
         "normalized_s0": normalized.s0,
-        "values": {str(t): h.value(t) for t in range(lo, hi + 1)},
+        "values": dict(zip(map(str, range(lo, hi + 1)), h.values(lo, hi))),
     }
     lines = chain(
         (f"{k}={payload[k]}" for k in ("n", "s0", "B", "rank", "degree", "c1", "regularity")),
@@ -290,7 +287,7 @@ def main(argv=None) -> int:
     except (DomainError, ValueError) as exc:
         # a ValueError is a library precondition broken by a user-supplied value
         code = exc.code if isinstance(exc, DomainError) else BadInput.code
-        sys.stderr.write(_emit_json({"error": code, "detail": str(exc)}) + "\n")
+        sys.stderr.write(dumps({"error": code, "detail": str(exc)}) + "\n")
         return 1
     sys.stdout.write(out + "\n")
     return 0

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import BadInput, RegularityTooSmall
 from .hilbert import BundleSeq, HilbertFn, minimal_betti
-from .seqs import IntSeq
+from .seqs import MAX_VALUES, IntSeq
 
 # Bounds on the table of sequences that one call fills: the number of
 # sequences over every degree from r to the largest one asked for (tails
@@ -119,8 +119,14 @@ def max_difference(h: HilbertFn, d: int) -> IntSeq:
     """The largest multiset c with base + c admissible of regularity <= d.
 
     Every admissible difference multiset is a sub-multiset of the result;
-    ``max_difference_counts`` gives its multiplicities.
+    ``max_difference_counts`` gives its multiplicities.  Raises BadInput,
+    before anything is built, when the tail above the largest entry M of the
+    minimal pair, (d - M) * (r - n) entries, would pass MAX_VALUES.
     """
+    base = minimal_betti(h)
+    tail = max(0, d - max(base.a.entries + base.b.entries)) * max(0, base.r - h.n)
+    if tail > MAX_VALUES:
+        raise BadInput(f"max_difference would hold more than {MAX_VALUES} entries")
     return IntSeq(t for t, k in max_difference_counts(h, d) for _ in range(k))
 
 

@@ -10,6 +10,7 @@ stores exactly (n, s0, B).
 from __future__ import annotations
 
 from collections import Counter
+from itertools import accumulate
 
 from .betti import BettiPair
 from .errors import BadInput, NotAdmissible
@@ -105,17 +106,17 @@ class HilbertFn(Frozen):
             return self.r
         return self.seq.values[t - self.s0]
 
-    def value(self, t: int) -> int:
-        """H(t), by summing the n-th difference n times from the left."""
-        if t < self.s0:
-            return 0
-        window = [self.delta_n(u) for u in range(self.s0, t + 1)]
+    def values(self, lo: int, hi: int) -> list[int]:
+        """[H(lo), ..., H(hi)], from one n-fold prefix sum of the n-th
+        difference over [s0, hi]: O(n * (hi - s0)) additions in all."""
+        window = [self.delta_n(u) for u in range(self.s0, hi + 1)]
         for _ in range(self.n):
-            acc = 0
-            for i, v in enumerate(window):
-                acc += v
-                window[i] = acc
-        return window[-1]
+            window = list(accumulate(window))
+        return [window[t - self.s0] if t >= self.s0 else 0 for t in range(lo, hi + 1)]
+
+    def value(self, t: int) -> int:
+        """H(t)."""
+        return self.values(t, t)[0]
 
     def __repr__(self) -> str:
         return f"HilbertFn(n={self.n}, s0={self.s0}, B={list(self.seq.values)!r})"

@@ -12,13 +12,13 @@ cover adds 1 in one coordinate, and the up-set of m is the box of the
 
 from __future__ import annotations
 
-import json
 from itertools import product
 
 from .betti import BettiPair
 from .errors import BadInput, UnknownFormat
 from .generate import max_difference_counts
 from .hilbert import HilbertFn, minimal_betti
+from .jsonout import dumps
 from .seqs import IntSeq
 
 # Bounds the output, not the work, which is linear in it: the JSON up-set
@@ -187,7 +187,7 @@ class BettiLattice:
             "nodes": nodes,
             "edges": [(self.nodes[i].entries, self.nodes[j].entries) for i, j in self._edges()],
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return dumps(payload)
 
 
 def _fmt(entries: tuple[int, ...]) -> str:

@@ -13,8 +13,9 @@ from typing import Iterable, Iterator
 
 from .errors import BadInput, NotSubMultiset
 
-# The most values one caret comma list may expand to; inspecting a Hilbert
-# function takes time quadratic in its length.
+# The most values one caret comma list may expand to, and the most entries
+# in the closed-form tail of generate.max_difference: the length of each is
+# set by one input integer.
 MAX_VALUES = 1000
 
 

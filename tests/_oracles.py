@@ -149,6 +149,64 @@ def brute_force_admissible(n, r, c1, d):
     return found
 
 
+def _ascending_with_sum(prefix_min, lows, hi, total):
+    """Ascending tuples with per-index lower bounds ``lows``, entries at most
+    ``hi`` and sum ``total``."""
+    k = len(lows)
+    if k == 0:
+        if total == 0:
+            yield ()
+        return
+    for v in range(max(prefix_min, lows[0]), hi + 1):
+        rest = total - v
+        if rest < sum(max(v, w) for w in lows[1:]):
+            break
+        if rest > hi * (k - 1):
+            continue
+        for tail in _ascending_with_sum(v, lows[1:], hi, rest):
+            yield (v,) + tail
+
+
+def scan_admissible(n, r, c1, d):
+    """The admissible-pair search before its b was split into blocks: every
+    ascending b in the finiteness box, then the a over each b that passes
+    the sum test.  Far cheaper than ``brute_force_admissible``, which tries
+    every a as well."""
+    found = set()
+    lo_split = -c1 - (r - 1) * d
+    if lo_split <= d:
+        for b in _ascending_with_sum(lo_split, (lo_split,) * r, d, -c1):
+            found.add(((), b))
+    if r >= n:
+        for l in range(1, c1 + r * d + 1):
+            b_lo = -c1 - (r - 1) * d + l
+            if b_lo > d:
+                continue
+            for b in combinations_with_replacement(range(b_lo, d + 1), l + r):
+                target = c1 + sum(b)
+                lows = tuple(b[n + i] + 1 for i in range(l))
+                if target < sum(lows) or target > l * (d + 1):
+                    continue
+                for a in _ascending_with_sum(lows[0], lows, d + 1, target):
+                    if all(ai > b[n + i] for i, ai in enumerate(a)) and max(b[-1], a[-1] - 1) <= d:
+                        found.add((a, b))
+    return found
+
+
+def summed_hilbert_value(h, t):
+    """H(t) as ``HilbertFn.value`` once computed it: the window of the n-th
+    difference from s0 to t, summed n times, anew for every t."""
+    if t < h.s0:
+        return 0
+    window = [h.delta_n(u) for u in range(h.s0, t + 1)]
+    for _ in range(h.n):
+        acc = 0
+        for i, v in enumerate(window):
+            acc += v
+            window[i] = acc
+    return window[-1]
+
+
 def brute_force_bundle_sequences(n, r, degree):
     """All positive compositions of ``degree`` filtered by the raw clauses."""
 

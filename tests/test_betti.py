@@ -13,7 +13,7 @@ from pnbundles.betti import (
 )
 from pnbundles.seqs import IntSeq, seq_diff, seq_min
 
-from _oracles import brute_force_admissible
+from _oracles import brute_force_admissible, scan_admissible
 
 
 @pytest.mark.parametrize("n,a,b,want", [
@@ -132,6 +132,29 @@ def test_enumerate_matches_brute_force(n, r, c1, d):
         (p.a.entries, p.b.entries) for p in enumerate_admissible(n, r, c1, d)
     }
     assert got == brute_force_admissible(n, r, c1, d)
+
+
+def _pairs(n, r, c1, d):
+    return {(p.a.entries, p.b.entries) for p in enumerate_admissible(n, r, c1, d)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_enumerate_matches_scan_oracle(n):
+    # the block search against the scan of every b it replaced; at d = 2 the
+    # scan of c1 > 1 takes seconds per case, so that corner is left out
+    for r in range(1, 6):
+        for c1 in range(-4, 5):
+            for d in range(-1, 3 if c1 <= 1 else 2):
+                assert _pairs(n, r, c1, d) == scan_admissible(n, r, c1, d), (r, c1, d)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_enumerate_matches_scan_oracle_on_twists(k):
+    # the benchmark's (3, 4, -2, 4) twisted by k: anchor, bound and c1 move together
+    args = (3, 4, -2 - 4 * k, 4 + k)
+    got = _pairs(*args)
+    assert len(got) == 2170
+    assert got == scan_admissible(*args)
 
 
 def test_enumerate_d2_frozen_oracle():

@@ -354,6 +354,7 @@ LINEAR = {"n": 3, "p": 32003, "a": [1], "b": [0, 0, 0, 0], "entries": [["x0"], [
     ("p", "32003"),
     ("n", 3.7),
     ("entries", [[1], ["x1"], ["x2"], ["x3"]]),
+    ("n", 10**30),  # more variables than a list can index: an OverflowError traceback
 ])
 def test_check_reads_matrix_documents_strictly(field, value, tmp_path, capsys):
     # int() used to coerce the first three, and an integer entry ended in a traceback

@@ -7,7 +7,7 @@ from pnbundles.betti import BettiPair
 from pnbundles.errors import BadInput, RegularityTooSmall
 from pnbundles.generate import bundle_sequences, bundle_sequences_by_reg, max_difference
 from pnbundles.hilbert import HilbertFn, is_valid_hilbert, minimal_betti
-from pnbundles.seqs import IntSeq, is_sub_multiset
+from pnbundles.seqs import MAX_VALUES, IntSeq, is_sub_multiset
 
 from _oracles import (
     brute_force_bundle_sequences,
@@ -112,6 +112,18 @@ def test_max_difference_matches_walk(n):
                     assert max_difference(h, d).entries == walk_max_difference(base, d), (h, d)
                     cases += 1
     assert cases >= 100
+
+
+def test_max_difference_bounded_before_it_builds():
+    # the tail above the largest entry 0 holds d entries (r - n = 1)
+    h = HilbertFn(3, -1, [5, 4])
+    assert len(max_difference(h, MAX_VALUES)) == MAX_VALUES + 1  # one copy of 0 below the tail
+    for d in (MAX_VALUES + 1, 10**6, 10**100):
+        with pytest.raises(BadInput, match=str(MAX_VALUES)):
+            max_difference(h, d)
+    # no tail: rank n, or below n, whatever d is
+    assert max_difference(HilbertFn(3, 0, [3]), 10**100) == IntSeq()
+    assert max_difference(HilbertFn(3, 0, [2]), 10**100) == IntSeq()
 
 
 def test_max_difference_split_low_rank():

@@ -17,6 +17,8 @@ from pnbundles.hilbert import (
     normalize,
 )
 
+from _oracles import summed_hilbert_value
+
 
 def binom(m, n):
     return math.comb(m, n) if m >= n else 0
@@ -181,3 +183,18 @@ def test_eval_far_right_tail():
     pair = minimal_betti(h)
     for t in (20, 37, 50):
         assert h.value(t) == binomial_hilbert(pair, t)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_values_match_per_t_sums(n):
+    # one prefix-sum pass over the window against the old sum per value
+    for values in ([1], [5, 4], [1, 1, 3, 4], [2, 7, 3], [1] * 9 + [2]):
+        if not is_valid_hilbert(n, values):
+            continue
+        for s0 in (-4, 0, 3):
+            h = HilbertFn(n, s0, values)
+            for lo in range(s0 - 3, s0 + len(values) + 3):
+                for hi in range(lo - 1, s0 + len(values) + 6):
+                    want = [summed_hilbert_value(h, t) for t in range(lo, hi + 1)]
+                    assert h.values(lo, hi) == want, (h, lo, hi)
+                assert h.value(lo) == summed_hilbert_value(h, lo)
