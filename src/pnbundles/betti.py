@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 
 from .errors import BadInput, EmptyPair
-from .seqs import Frozen, IntSeq, is_sub_multiset, seq_diff, seq_min, seq_sum
+from .seqs import Frozen, IntSeq, is_sub_multiset, json_int, seq_diff, seq_min, seq_sum
 
 
 class BettiPair(Frozen):
@@ -78,7 +78,7 @@ class BettiPair(Frozen):
     @classmethod
     def from_json(cls, data) -> "BettiPair":
         try:
-            return cls(int(data["n"]), IntSeq.from_json(data["a"]), IntSeq.from_json(data["b"]))
+            return cls(json_int(data["n"], "n"), IntSeq.from_json(data["a"]), IntSeq.from_json(data["b"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise BadInput(f"malformed Betti pair: {exc}") from None
 

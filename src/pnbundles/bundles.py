@@ -24,11 +24,24 @@ from .errors import (
     ShapeError,
 )
 from .poly import Ideal, Poly, check_prime, format_poly, maximal_minors, monomials, parse_poly
-from .seqs import Frozen, IntSeq
+from .seqs import Frozen, IntSeq, json_int
 
 # random_minimal_map draws one coefficient for every monomial of every entry;
 # 10^5 of them take about a second to draw and print
 MAX_MONOMIALS = 10**5
+
+# The largest n of a matrix that `check` reads or `present` prints: packing one
+# monomial of P^n costs O(n^2) bit operations.  Only a pair with an empty a
+# meets it in `present`, since an admissible pair with a nonempty a has more
+# than n entries in b, and a caret list holds at most seqs.MAX_VALUES = 1000.
+MAX_N = 1000
+
+
+def check_dimension(n: int) -> int:
+    """n itself when it is at most MAX_N; BadInput otherwise."""
+    if n > MAX_N:
+        raise BadInput(f"a presentation matrix over P^n needs n <= {MAX_N}, got {n}")
+    return n
 
 
 class PresMatrix(Frozen):
@@ -82,11 +95,15 @@ class PresMatrix(Frozen):
     @classmethod
     def from_json(cls, data) -> "PresMatrix":
         """Read a document of ``schemas/matrix.schema.json``: n and p are
-        JSON integers, p a prime below 2^31, and the entries are rows of
-        polynomial strings."""
+        JSON integers, n at most MAX_N (checked before any entry is read), p a
+        prime below 2^31, the entries are rows of polynomial strings, and no
+        other key is allowed."""
         try:
-            pair = BettiPair(_json_int(data, "n"), IntSeq.from_json(data["a"]), IntSeq.from_json(data["b"]))
-            p = check_prime(_json_int(data, "p"))
+            n = check_dimension(json_int(data["n"], "n"))
+            if extra := sorted(data.keys() - {"n", "p", "a", "b", "entries"}):
+                raise BadInput(f"malformed matrix document: unknown keys {extra}")
+            pair = BettiPair(n, IntSeq.from_json(data["a"]), IntSeq.from_json(data["b"]))
+            p = check_prime(json_int(data["p"], "p"))
             entries = data["entries"]
             if not (
                 isinstance(entries, list)
@@ -100,14 +117,6 @@ class PresMatrix(Frozen):
             return cls(pair, p, rows)
         except ValueError as exc:
             raise BadInput(str(exc)) from None
-
-
-def _json_int(data, key: str) -> int:
-    """``data[key]`` when it is a JSON integer; a float, string or boolean is refused."""
-    value = data[key]
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise BadInput(f"malformed matrix document: {key} must be an integer, got {value!r}")
-    return value
 
 
 def explicit_matrix(pair: BettiPair, prime: int) -> PresMatrix:
@@ -199,15 +208,7 @@ def verify_bundle(m: PresMatrix) -> bool:
     l = m.pair.l
     if l == 0:
         return True
-    minors = maximal_minors(m.rows, l)
-    if any(f and f.degree() == 0 for f in minors):
-        return True  # a unit minor: the map is a split injection
-    seen = set()
-    distinct = []
-    for f in minors:
-        if f and f not in seen:
-            seen.add(f)
-            distinct.append(f)
+    distinct = dict.fromkeys(f for f in maximal_minors(m.rows, l) if f)
     return Ideal(distinct, p=m.p, nvars=m.pair.n + 1).is_m_primary_or_unit()
 
 

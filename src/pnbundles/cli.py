@@ -19,6 +19,7 @@ from itertools import chain
 from .betti import BettiPair
 from .bundles import (
     PresMatrix,
+    check_dimension,
     deform_family,
     explicit_matrix,
     minimize_presentation,
@@ -116,7 +117,7 @@ def _cmd_lattice(args) -> str:
 
 
 def _cmd_present(args) -> str:
-    pair = _pair(args.n, args.a, args.b)
+    pair = _pair(check_dimension(args.n), args.a, args.b)
     prime = check_prime(args.prime)
     if args.mode == "explicit":
         m = explicit_matrix(pair, prime)

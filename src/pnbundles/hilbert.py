@@ -14,7 +14,7 @@ from itertools import accumulate
 
 from .betti import BettiPair
 from .errors import BadInput, NotAdmissible
-from .seqs import Frozen, IntSeq
+from .seqs import Frozen, IntSeq, json_int
 
 
 class BundleSeq(Frozen):
@@ -127,7 +127,8 @@ class HilbertFn(Frozen):
     @classmethod
     def from_json(cls, data) -> "HilbertFn":
         try:
-            return cls(int(data["n"]), int(data["s0"]), list(data["B"]))
+            values = [json_int(v, "each entry of B") for v in data["B"]]
+            return cls(json_int(data["n"], "n"), json_int(data["s0"], "s0"), values)
         except (KeyError, TypeError, ValueError) as exc:
             raise BadInput(f"malformed Hilbert function: {exc}") from None
 

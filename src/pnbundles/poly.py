@@ -252,8 +252,7 @@ def normal_form(f: Poly, basis) -> Poly:
 # The engine works on packed monomials.  A basis element is a record (packed
 # lead, packed terms of its monic multiple other than the lead), made when it
 # joins the basis; dividing by a nonzero multiple of a polynomial leaves the
-# same remainder.  A pending pair is a heap entry (grevlex key of its lcm,
-# i, j, lcm).
+# same remainder.  A pending pair is a heap entry (packed lcm, i, j).
 
 
 class _Packing:
@@ -279,7 +278,10 @@ class _Packing:
         self.guard = sum(self.cap + 1 << i * width for i in range(nvars))
         self._shifts = range(0, low, width)
         # x_i counts once in its own exponent field and once in each prefix sum from x0+...+x_i up
-        self._vars = [(1 << i * width) + sum(1 << low + j * width for j in range(i, nvars)) for i in range(nvars)]
+        self._vars, above = [0] * nvars, 0
+        for i in reversed(range(nvars)):
+            above += 1 << low + i * width
+            self._vars[i] = (1 << i * width) + above
 
     def pack(self, exps: tuple[int, ...]) -> int:
         return sum(map(mul, exps, self._vars))
@@ -364,57 +366,67 @@ def _spoly(f: Poly, g: Poly) -> Poly:
     return Poly(f.p, f.nvars, pk.unpack_terms(_spoly_work(rf, rg, lcm, f.p)[0]))
 
 
-def groebner_basis(gens) -> list[Poly]:
-    """The reduced Groebner basis under grevlex, sorted by descending lead.
-
-    Buchberger's algorithm with normal pair selection (smallest lcm first,
-    ties by index) and both classical pair-elimination criteria.  The
-    reduced basis is unique, so the output does not depend on generator
-    order.
+def _buchberger(gens, p: int, nvars: int, certified):
+    """Buchberger's algorithm with normal pair selection (smallest lcm first,
+    ties by index) and both classical pair-elimination criteria: the records
+    and packing of a Groebner basis of the nonzero generators, or None once
+    ``certified`` holds for the lead exponents of a generator or new element.
     """
-    gens = [g for g in gens if g]
-    if not gens:
-        return []
-    p, nvars = gens[0].p, gens[0].nvars
-    for g in gens:
-        gens[0]._compat(g)
     pk = _Packing(nvars, max(g.degree() for g in gens))
     G = [_record(pk.pack_terms(g.terms), p) for g in gens]
     leads = [pk.unpack(lead) for lead, _ in G]
+    if any(map(certified, leads)):
+        return None
     heap, pending = [], set()  # pending: the (i, j) of the heap's entries
 
     def add_pairs(j: int) -> None:
-        nonlocal pk, G
+        nonlocal pk
         lcms = [_lcm(leads[i], leads[j]) for i in range(j)]
         top = max(map(sum, lcms), default=0)
         if top > pk.cap:  # every term met while reducing this pair has degree <= top
             old, pk = pk, _Packing(nvars, top)
-            G = [(pk.pack(old.unpack(lead)), [(pk.pack(old.unpack(m)), c) for m, c in tail]) for lead, tail in G]
+            G[:] = [(pk.pack(old.unpack(lead)), [(pk.pack(old.unpack(m)), c) for m, c in tail]) for lead, tail in G]
+            heap[:] = [(pk.pack(old.unpack(lcm)), i, k) for lcm, i, k in heap]  # same order: still a heap
         for i, lcm in enumerate(lcms):
-            heappush(heap, (grevlex_key(lcm), i, j, lcm))
+            heappush(heap, (pk.pack(lcm), i, j))
             pending.add((i, j))
 
     for j in range(1, len(G)):
         add_pairs(j)
     while heap:
-        _, i, j, lcm = heappop(heap)
+        lcm, i, j = heappop(heap)
         pending.discard((i, j))
-        if all(min(a, b) == 0 for a, b in zip(leads[i], leads[j])):
+        if lcm == G[i][0] + G[j][0]:  # no carry: each field of the sum is at most 2 * cap < 2^width
             continue  # coprime leads: S-polynomial reduces to zero
-        guard, packed = pk.guard, pk.pack(lcm)
-        top = packed | guard
+        guard = pk.guard
+        top = lcm | guard
         if any(
             (top - G[k][0]) & guard == guard and k not in (i, j)
             and (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending
             for k in range(len(G))
         ):
             continue  # chain criterion
-        work, keys = _spoly_work(G[i], G[j], packed, p)
+        work, keys = _spoly_work(G[i], G[j], lcm, p)
         r = _reduce(work, G, p, guard, keys)
         if r:
             G.append(_record(r, p))
             leads.append(pk.unpack(G[-1][0]))
+            if certified(leads[-1]):
+                return None
             add_pairs(len(G) - 1)
+    return G, pk
+
+
+def groebner_basis(gens) -> list[Poly]:
+    """The reduced Groebner basis under grevlex, sorted by descending lead.
+    It is unique, so the output does not depend on generator order."""
+    gens = [g for g in gens if g]
+    if not gens:
+        return []
+    for g in gens:
+        gens[0]._compat(g)
+    p, nvars = gens[0].p, gens[0].nvars
+    G, pk = _buchberger(gens, p, nvars, lambda lead: False)
     return _interreduce(G, p, nvars, pk)
 
 
@@ -434,57 +446,50 @@ def _interreduce(G, p: int, nvars: int, pk: _Packing) -> list[Poly]:
     return out[::-1]  # by descending lead
 
 
-class Ideal:
-    """An ideal given by generators, with its reduced Groebner basis, which
-    is computed on construction."""
+class Ideal(Frozen):
+    """An ideal given by generators, which must share one ring.  Nothing is
+    computed on construction."""
 
-    __slots__ = ("p", "nvars", "gens", "_gb")
+    __slots__ = ("p", "nvars", "gens")
 
     def __init__(self, gens, p: int | None = None, nvars: int | None = None):
-        gens = list(gens)
+        gens = tuple(gens)
         if gens:
             p = gens[0].p if p is None else p
             nvars = gens[0].nvars if nvars is None else nvars
-            for g in gens:
-                if g.p != p or g.nvars != nvars:
-                    raise ModulusMismatch("generators live in different rings")
         elif p is None or nvars is None:
             raise ValueError("an empty ideal needs explicit p and nvars")
+        if any(g.p != p or g.nvars != nvars for g in gens):
+            raise ModulusMismatch("generators live in different rings")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "gens", tuple(gens))
-        object.__setattr__(self, "_gb", tuple(groebner_basis(gens)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Ideal is immutable")
+        object.__setattr__(self, "gens", gens)
 
     def groebner_basis(self) -> tuple[Poly, ...]:
-        return self._gb
+        return tuple(groebner_basis(self.gens))
 
     def is_m_primary_or_unit(self) -> bool:
         """True iff the ideal is the unit ideal or cuts out only the origin.
 
-        For a homogeneous ideal this happens exactly when some basis element
-        is a nonzero constant, or every variable has a pure power among the
-        leading monomials of the Groebner basis.  The test is insensitive to
-        field extension, so it certifies the answer over the algebraic
-        closure as well.
+        For a homogeneous ideal this holds iff some element of the ideal has
+        a constant lead, or each variable has a pure power as a lead.  The
+        Buchberger loop stops at the first such certificate; only False needs
+        the whole basis.  The test is insensitive to field extension, so it
+        certifies the answer over the algebraic closure as well.
         """
         for g in self.gens:
             if g and not g.is_homogeneous():
                 raise ValueError("is_m_primary_or_unit needs homogeneous generators")
-        gb = self.groebner_basis()
-        if not gb:
-            return False
+        gens = [g for g in self.gens if g]
         missing = set(range(self.nvars))
-        for g in gb:
-            le = g.lead_exps()
-            support = [i for i, e in enumerate(le) if e]
-            if not support:
-                return True  # a nonzero constant: the unit ideal
+
+        def certified(lead: tuple[int, ...]) -> bool:
+            support = [i for i, e in enumerate(lead) if e]
             if len(support) == 1:
                 missing.discard(support[0])
-        return not missing
+            return not support or not missing  # a constant: the unit ideal
+
+        return bool(gens) and _buchberger(gens, self.p, self.nvars, certified) is None
 
 
 def maximal_minors(matrix, size: int) -> list[Poly]:
@@ -530,4 +535,6 @@ def maximal_minors(matrix, size: int) -> list[Poly]:
         return acc
 
     cols = tuple(range(size))
-    return [det(sel, cols) for sel in combinations(range(len(rows)), size)]
+    minors = [det(sel, cols) for sel in combinations(range(len(rows)), size)]
+    memo.clear()  # det refers to itself, so a collection, not return, frees it
+    return minors

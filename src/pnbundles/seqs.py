@@ -102,6 +102,14 @@ class IntSeq(Frozen):
         return cls(data)
 
 
+def json_int(value, name: str) -> int:
+    """``value`` when it is a JSON integer; a float, string or boolean is
+    refused with a TypeError that names the field."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def seq_sum(x: IntSeq, y: IntSeq) -> IntSeq:
     """Multiset union: result multiplicity is the sum at every value."""
     return IntSeq(x.entries + y.entries)

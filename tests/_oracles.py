@@ -531,3 +531,18 @@ def tuple_groebner_basis(gens):
             minimal.append(rec)
     out = [Poly(p, nvars, _tuple_reduce(t, minimal[:i] + minimal[i + 1 :], p)) for i, (_, t) in enumerate(minimal)]
     return out[::-1]
+
+
+def full_basis_m_primary(gens, nvars):
+    """The earlier m-primary test: the whole reduced basis first, then a scan
+    of its leads for a constant or a pure power of every variable."""
+    from pnbundles.poly import groebner_basis
+
+    missing = set(range(nvars))
+    for g in groebner_basis(gens):
+        support = [i for i, e in enumerate(max(g.terms, key=_grevlex_key)) if e]
+        if not support:
+            return True
+        if len(support) == 1:
+            missing.discard(support[0])
+    return not missing

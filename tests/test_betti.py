@@ -11,6 +11,7 @@ from pnbundles.betti import (
     generalization_witness,
     generalizes,
 )
+from pnbundles.errors import BadInput
 from pnbundles.seqs import IntSeq, seq_diff, seq_min
 
 from _oracles import brute_force_admissible, scan_admissible
@@ -188,3 +189,10 @@ def test_enumerate_closed_under_generalization():
 def test_json_round_trip():
     p = BettiPair(3, [2], [0, 0, 0, 1, 1])
     assert BettiPair.from_json(p.to_json()) == p
+
+
+@pytest.mark.parametrize("n", [3.7, 3.0, "3", True])
+def test_from_json_refuses_a_non_integer_n(n):
+    # int() used to read 3.7 and "3" as 3
+    with pytest.raises(BadInput, match="n must be an integer"):
+        BettiPair.from_json({"n": n, "a": [2], "b": [0, 0, 0, 1, 1]})

@@ -11,6 +11,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from pnbundles import cli
+from pnbundles.bundles import MAX_N
 
 
 def run_cli(argv, capsys):
@@ -355,6 +356,7 @@ LINEAR = {"n": 3, "p": 32003, "a": [1], "b": [0, 0, 0, 0], "entries": [["x0"], [
     ("n", 3.7),
     ("entries", [[1], ["x1"], ["x2"], ["x3"]]),
     ("n", 10**30),  # more variables than a list can index: an OverflowError traceback
+    ("zz", 1),  # a key the schema forbids
 ])
 def test_check_reads_matrix_documents_strictly(field, value, tmp_path, capsys):
     # int() used to coerce the first three, and an integer entry ended in a traceback
@@ -380,6 +382,7 @@ LATTICE = ["lattice", "--n", "3", "--seq", "5,4", "--anchor=-1", "--format", "js
     (["hilbert", "--n", "10000000", "--seq", "1,2"], "64"),  # 10^7 passes over the window per value
     (["hilbert", "--n", "65", "--seq", "1^999,2"], "64"),  # just past the bound
     (["present", "--n", "3", "--a", "150", "--b", "0,0,0,0", "--mode", "random"], "100000"),  # 2.3e6 draws
+    (["present", "--n", "1000000", "--a", "", "--b", "0", "--mode", "random"], "1000"),  # a document check refuses
 ])
 def test_work_bounded_by_flag_values(argv, bound):
     proc = run_process(argv)
@@ -394,6 +397,26 @@ def run_process(argv):
         [sys.executable, "-m", "pnbundles", *argv], capture_output=True, text=True, timeout=10,
         env={**os.environ, "PYTHONPATH": src},
     )
+
+
+def test_check_bounds_the_dimension_before_reading_entries(tmp_path):
+    # packing a monomial of P^n costs O(n^2) bit operations: n = 3000 took 25 s unbounded
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({**LINEAR, "n": 10**6}))
+    proc = run_process(["check", str(path)])
+    assert_bad_input(proc.returncode, proc.stdout, proc.stderr)
+    assert str(MAX_N) in json.loads(proc.stderr)["detail"]
+
+
+def test_check_answers_at_the_dimension_bound(tmp_path):
+    # the largest document that present prints (an empty a), then a linear one
+    printed = run_process(["present", "--n", str(MAX_N), "--a", "", "--b", "0", "--mode", "random"])
+    path = tmp_path / "m.json"
+    for doc, bundle in [(json.loads(printed.stdout), True), ({**LINEAR, "n": MAX_N}, False)]:
+        path.write_text(json.dumps(doc))
+        proc = run_process(["check", str(path)])
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["bundle"] is bundle
 
 
 def test_hilbert_answers_at_the_dimension_bound():

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from pnbundles.betti import BettiPair, generalizes
-from pnbundles.errors import NotAdmissible
+from pnbundles.errors import BadInput, NotAdmissible
 from pnbundles.generate import bundle_sequences
 from pnbundles.hilbert import (
     BundleSeq,
@@ -175,6 +175,21 @@ def test_shift_invariance():
 def test_json_round_trip():
     h = HilbertFn(3, -1, [5, 4])
     assert HilbertFn.from_json(h.to_json()) == h
+
+
+@pytest.mark.parametrize("field,value", [
+    ("n", 3.7),
+    ("n", "3"),
+    ("s0", -1.0),
+    ("s0", False),
+    ("B", [5.5, 4]),
+    ("B", ["5", 4]),
+    ("B", "54"),
+])
+def test_from_json_refuses_non_integers(field, value):
+    # int() used to read n 3.7 and "3" as 3, and B [5.5, 4] as [5, 4]
+    with pytest.raises(BadInput, match="must be an integer"):
+        HilbertFn.from_json({"n": 3, "s0": -1, "B": [5, 4], field: value})
 
 
 def test_eval_far_right_tail():

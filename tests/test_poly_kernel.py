@@ -1,21 +1,35 @@
-"""The packed division kernel against the tuple kernel it replaced.
+"""The packed division kernel against the tuple kernel it replaced, and the
+m-primary test against the full-basis scan it replaced.
 
 ``_oracles`` keeps the earlier kernel on exponent tuples, with the same pair
 selection, criteria and division rule.  Equal reduced bases, remainders and
 products, on the minor ideals the bundle test meets and on random ideals,
 show that packing changed nothing but speed; the inputs at the width limit
-show that no field carries into the next.
+show that no field carries into the next.  The m-primary test stops at its
+first certificate, and ``_oracles`` keeps the test that read the leads of the
+whole reduced basis.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pnbundles import poly
 from pnbundles.betti import BettiPair
-from pnbundles.bundles import random_minimal_map
-from pnbundles.poly import _MAX_EXPONENT, Poly, format_poly, groebner_basis, maximal_minors, normal_form, parse_poly
+from pnbundles.bundles import PresMatrix, random_minimal_map, verify_bundle
+from pnbundles.poly import (
+    _MAX_EXPONENT,
+    Ideal,
+    Poly,
+    format_poly,
+    groebner_basis,
+    maximal_minors,
+    monomials,
+    normal_form,
+    parse_poly,
+)
 
-from _oracles import tuple_groebner_basis, tuple_normal_form, tuple_product
+from _oracles import full_basis_m_primary, tuple_groebner_basis, tuple_normal_form, tuple_product
 
 # the (a, b) shapes, all over P^3, of the benchmark's check-bundles and
 # check-degenerate documents
@@ -78,3 +92,70 @@ def test_packed_kernel_at_the_width_limit(gens, probe):
     # degrees far past any fixed narrow field width: the width follows the input
     p = 32003
     assert_same_as_tuple_kernel([parse_poly(g, p, 3) for g in gens], parse_poly(probe, p, 3))
+
+
+@pytest.mark.parametrize("a,b", SHAPES)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_m_primary_test_matches_full_basis_scan_on_minor_ideals(a, b, seed):
+    m = random_minimal_map(BettiPair(3, a, b), 32003, seed)
+    minors = list(dict.fromkeys(f for f in maximal_minors(m.rows, len(a)) if f))
+    assert Ideal(minors).is_m_primary_or_unit() is full_basis_m_primary(minors, 4)
+
+
+@st.composite
+def homogeneous_ideals(draw):
+    p = draw(st.sampled_from([7, 101, 32003]))
+    nvars = draw(st.integers(2, 4))
+
+    def forms(degree):
+        terms = st.dictionaries(st.sampled_from(list(monomials(nvars, degree))), st.integers(1, p - 1), min_size=1, max_size=3)
+        return terms.map(lambda t: Poly(p, nvars, t))
+
+    # no constants, which would make most answers True at once; about a
+    # quarter of the drawn ideals are m-primary
+    return Ideal(draw(st.lists(st.integers(1, 3).flatmap(forms), min_size=1, max_size=5)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(homogeneous_ideals())
+def test_m_primary_test_matches_full_basis_scan_on_random_ideals(ideal):
+    assert ideal.is_m_primary_or_unit() is full_basis_m_primary(ideal.gens, ideal.nvars)
+
+
+def test_packing_widens_while_pairs_are_pending(monkeypatch):
+    # the generators pack with cap 3 and their pairs' lcms with cap 7; the
+    # sixth basis element needs cap 15, and six pairs wait on the heap then
+    caps = []
+
+    class Recording(poly._Packing):
+        def __init__(self, nvars, degree):
+            super().__init__(nvars, degree)
+            caps.append(self.cap)
+
+    monkeypatch.setattr(poly, "_Packing", Recording)
+    gens = [parse_poly(g, 32003, 3) for g in ["x0^3 - x1*x2^2", "x1^3 - x0^2*x2", "x0*x1 - x2^2"]]
+    basis = groebner_basis(gens)
+    assert caps == [3, 7, 15]
+    assert [format_poly(g) for g in basis] == [format_poly(g) for g in tuple_groebner_basis(gens)]
+    assert Ideal(gens).is_m_primary_or_unit() is full_basis_m_primary(gens, 3) is False
+
+
+def test_no_reduction_before_a_certificate(monkeypatch):
+    calls = []
+    reduce = poly._reduce
+    monkeypatch.setattr(poly, "_reduce", lambda *args: calls.append(args) or reduce(*args))
+
+    def P(text):
+        return parse_poly(text, 32003, 4)
+
+    pending = Ideal([P("x0^2 + x1*x2"), P("x0*x1 + x2^2")])
+    assert not calls  # constructing an ideal computes nothing
+    # the generators are a certificate: pure powers of all four variables
+    assert Ideal([P("x0^2"), P("x1"), P("x2^3"), P("x3"), P("x0*x2 + x1*x3")]).is_m_primary_or_unit() is True
+    assert not calls
+    # the minor 1 is a certificate before any pair is formed
+    unit = PresMatrix(BettiPair(3, [0], [-1, -1, -1, 0]), 32003, [[P("x0")], [P("x1")], [P("x2")], [P("1")]])
+    assert verify_bundle(unit) is True
+    assert not calls
+    pending.groebner_basis()
+    assert calls  # the counter sees the reductions of a basis that needs them

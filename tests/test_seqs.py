@@ -13,6 +13,7 @@ from pnbundles.seqs import (
     MAX_VALUES,
     IntSeq,
     is_sub_multiset,
+    json_int,
     parse_seq,
     parse_values,
     seq_diff,
@@ -128,6 +129,13 @@ def test_json_round_trip():
     assert IntSeq.from_json(x.to_json()) == x
     with pytest.raises(BadInput):
         IntSeq.from_json({"not": "a list"})
+
+
+@pytest.mark.parametrize("value", [3.7, 3.0, "3", True, None, [3]])
+def test_json_int_refuses_what_is_not_a_json_integer(value):
+    assert json_int(-3, "n") == -3
+    with pytest.raises(TypeError, match="^n must be an integer, got "):
+        json_int(value, "n")
 
 
 @pytest.mark.parametrize("text,want", [
