@@ -10,7 +10,8 @@ and bounded regularity.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from bisect import bisect_left
+from itertools import accumulate, combinations_with_replacement
 
 from .errors import BadInput, EmptyPair
 from .seqs import Frozen, IntSeq, is_sub_multiset, json_int, seq_diff, seq_min, seq_sum
@@ -104,21 +105,32 @@ def generalizes(p: BettiPair, q: BettiPair) -> bool:
 
 
 def _a_choices(prefix_min, lows, hi, total):
-    """Ascending tuples with per-index lower bounds ``lows`` and fixed sum."""
+    """Ascending tuples with per-index lower bounds ``lows``, which ascend,
+    and fixed sum.
+
+    The least sum of the entries after index i, once entry i is v, is
+    sum(max(v, w) for w in lows[i+1:]): v for each bound below v, and the
+    bound itself from the first one at or above v on, a suffix sum.
+    """
     k = len(lows)
-    if k == 0:
-        if total == 0:
-            yield ()
-        return
-    lo = max(prefix_min, lows[0])
-    for v in range(lo, hi + 1):
-        rest = total - v
-        if rest < sum(max(v, w) for w in lows[1:]):
-            break  # rest falls and the tail's least sum grows with v
-        if rest > hi * (k - 1):
-            continue
-        for tail in _a_choices(v, lows[1:], hi, rest):
-            yield (v,) + tail
+    suffix = list(accumulate(reversed(lows), initial=0))[::-1]  # suffix[i] = sum(lows[i:])
+
+    def choose(i, prefix_min, total):
+        if i == k:
+            if total == 0:
+                yield ()
+            return
+        for v in range(max(prefix_min, lows[i]), hi + 1):
+            rest = total - v
+            j = bisect_left(lows, v, i + 1)
+            if rest < v * (j - i - 1) + suffix[j]:
+                break  # rest falls and the tail's least sum grows with v
+            if rest > hi * (k - i - 1):
+                continue
+            for tail in choose(i + 1, v, rest):
+                yield (v,) + tail
+
+    return choose(0, prefix_min, total)
 
 
 def enumerate_admissible(n: int, r: int, c1: int, d: int) -> frozenset[BettiPair]:

@@ -10,6 +10,7 @@ standard error; usage errors exit with code 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -27,7 +28,7 @@ from .bundles import (
     verify_bundle,
 )
 from .errors import BadInput, DomainError, NotABundle
-from .generate import bundle_sequences, bundle_sequences_by_reg
+from .generate import bundle_sequences, reg_rows
 from .hilbert import HilbertFn, minimal_betti, normalize
 from .jsonout import dumps
 from .lattice import BettiLattice
@@ -74,11 +75,11 @@ def _cmd_enumerate(args) -> str:
     if args.degree is not None:
         rows = [list(s.values) for s in bundle_sequences(args.n, args.rank, args.degree)]
         return _render(args, rows, (",".join(str(v) for v in row) for row in rows))
-    hs = bundle_sequences_by_reg(args.n, args.rank, args.max_reg)
+    rows = reg_rows(args.n, args.rank, args.max_reg)
     return _render(
         args,
-        [{"B": list(h.seq.values), "s0": h.s0} for h in hs],
-        (",".join(str(v) for v in (h.s0,) + h.seq.values) for h in hs),
+        [{"B": values, "s0": s0} for s0, values in rows],
+        (",".join(map(str, (s0,) + values)) for s0, values in rows),
     )
 
 
@@ -207,7 +208,10 @@ def _cmd_admissible(args) -> str:
     return _render(args, verdict, [str(verdict).lower()])
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused: parsing leaves it
+    unchanged, and each build leaves hundreds of objects in reference cycles."""
     parser = argparse.ArgumentParser(
         prog="pnbundles",
         description="Betti data, Hilbert functions, lattices and presentation "

@@ -4,7 +4,11 @@ Bundle sequences of fixed rank are built tail-first: a sequence is a head
 prepended to a shorter sequence of the same rank, so generation reduces to a
 constrained composition problem.  One table, filled degree by degree, holds
 the sequences of every degree from r up; its count-only twin sizes that table
-before any sequence is built.
+before any sequence is built.  Every row of the table is ascending, and the
+regularity of a sequence's minimal pair is read off its last two entries in
+O(1), so ``enumerate --max-reg`` prints the rows (s0, values) of ``reg_rows``
+straight from the value tuples; ``bundle_sequences_by_reg`` wraps the same
+rows in ``HilbertFn``.
 """
 
 from __future__ import annotations
@@ -54,7 +58,8 @@ def _check_size(n: int, r: int, top: int) -> None:
 
 def _sequences(n: int, r: int, top: int) -> list[tuple[tuple[int, ...], ...]]:
     """table[e] holds the value tuples of every bundle sequence of rank r and
-    degree r + e, for e = 0..top."""
+    degree r + e, for e = 0..top, ascending: heads ascend, and the tails of
+    one head come from a row that ascends."""
     _check_size(n, r, top)
     table = [((r,),)]
     for e in range(1, top + 1):
@@ -76,43 +81,47 @@ def bundle_sequences(n: int, r: int, degree: int) -> list[BundleSeq]:
     _check_n_r(n, r)
     if degree < r:
         return []
-    return [BundleSeq(n, values) for values in sorted(_sequences(n, r, degree - r)[-1])]
+    return [BundleSeq(n, values) for values in _sequences(n, r, degree - r)[-1]]
 
 
 def _regularity(values: tuple[int, ...], s0: int) -> int:
     """Regularity of the minimal pair of the Hilbert function with anchor s0
-    and bundle sequence ``values``: b holds the upward jumps of the profile
-    and a the downward ones, so it is
-    max(s0 + last upward jump, s0 + last downward jump - 1)."""
-    up = down = None
-    prev = 0
-    for i, v in enumerate(values):
-        if v > prev:
-            up = i
-        elif v < prev:
-            down = i
-        prev = v
-    return s0 + (up if down is None else max(up, down - 1))
+    and bundle sequence ``values``, in O(1).
+
+    b holds the upward jumps of the profile and a the downward ones, so it
+    is max(s0 + last rise, s0 + last fall - 1).  The last entry differs from
+    the one before it, so the last index m - 1 is a rise or a fall: a rise
+    gives s0 + m - 1, and a fall s0 + m - 2, as every rise comes before it.
+    """
+    m = len(values)
+    return s0 + m - 1 - (m > 1 and values[-2] > values[-1])
+
+
+def reg_rows(n: int, r: int, d: int) -> list[tuple[int, tuple[int, ...]]]:
+    """The rows (s0, values) of ``bundle_sequences_by_reg(n, r, d)``, in its
+    order, with no value object built.  Raises BadInput past MAX_SEQUENCES
+    or MAX_LENGTH."""
+    _check_n_r(n, r)
+    top = r * (d + 1)
+    if top < 0:
+        return []
+    rows = []
+    for e, row in enumerate(_sequences(n, r, top)):
+        anchor = -((-(r + e)) // r)  # ceil(degree / r)
+        rows.extend((anchor - len(v), v) for v in row if _regularity(v, anchor - len(v)) <= d)
+    return rows
 
 
 def bundle_sequences_by_reg(n: int, r: int, d: int) -> list[HilbertFn]:
-    """All normalized Hilbert functions whose minimal pair has regularity <= d.
+    """All normalized Hilbert functions whose minimal pair has regularity <= d,
+    ascending in degree and then in values.
 
     The regularity of a normalized function is at least ceil(deg/r) - 2, so
     only degrees up to r*(d+2) can occur; each sequence gets the unique
     anchor that normalizes it, then the actual regularity is checked.
     Raises BadInput past MAX_SEQUENCES or MAX_LENGTH.
     """
-    _check_n_r(n, r)
-    top = r * (d + 1)
-    if top < 0:
-        return []
-    out = []
-    for e, row in enumerate(_sequences(n, r, top)):
-        anchor = -((-(r + e)) // r)  # ceil(degree / r)
-        kept = [v for v in row if _regularity(v, anchor - len(v)) <= d]
-        out.extend(HilbertFn(n, anchor - len(v), BundleSeq(n, v)) for v in sorted(kept))
-    return out
+    return [HilbertFn(n, s0, BundleSeq(n, values)) for s0, values in reg_rows(n, r, d)]
 
 
 def max_difference(h: HilbertFn, d: int) -> IntSeq:

@@ -9,6 +9,7 @@ pointwise statement about multiplicities.
 from __future__ import annotations
 
 from collections import Counter
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .errors import BadInput, NotSubMultiset
@@ -23,21 +24,24 @@ class Frozen:
     """An immutable value: equal exactly when of one type with equal slots.
 
     Subclasses declare their fields in ``__slots__`` and set them in
-    ``__init__`` through ``object.__setattr__``.
+    ``__init__`` through ``object.__setattr__``.  Each subclass gets one
+    ``attrgetter`` of its slots, its key, for equality and hashing.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._key = attrgetter(*cls.__slots__)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __eq__(self, other) -> bool:
-        return type(other) is type(self) and all(
-            getattr(self, name) == getattr(other, name) for name in self.__slots__
-        )
+        return type(other) is type(self) and self._key(self) == self._key(other)
 
     def __hash__(self) -> int:
-        return hash(tuple(getattr(self, name) for name in self.__slots__))
+        return hash(self._key(self))
 
 
 class IntSeq(Frozen):

@@ -178,6 +178,19 @@ def test_by_reg_matches_memo_oracle(n):
         assert bundle_sequences_by_reg(n, r, d) == memo_bundle_sequences_by_reg(n, r, d), (r, d)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_regularity_read_off_the_table(n):
+    # the O(1) regularity of every table entry against its minimal pair, at two anchors
+    for r in range(1, 7):
+        for e, row in enumerate(generate._sequences(n, r, 2 * r)):
+            assert list(row) == sorted(row)
+            for values in row:
+                assert sum(values) == r + e
+                for s0 in (0, -3):
+                    want = minimal_betti(HilbertFn(n, s0, values)).regularity()
+                    assert generate._regularity(values, s0) == want, (values, s0)
+
+
 def _table_size(n, r, degree):
     """Sequences of rank r and of every degree from r to ``degree``, by brute force."""
     return sum(len(brute_force_bundle_sequences(n, r, e)) for e in range(r, degree + 1))
