@@ -29,7 +29,10 @@ class BundleSeq(Frozen):
     def __init__(self, n: int, values):
         if not isinstance(n, int) or n < 1:
             raise ValueError(f"ambient dimension must be a positive integer, got {n!r}")
-        vals = tuple(map(int, values))
+        vals = tuple(values)
+        for v in vals:
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise TypeError(f"bundle sequence entries must be integers, got {v!r}")
         if not vals:
             raise ValueError("bundle sequence must be nonempty")
         if min(vals) <= 0:
@@ -142,7 +145,10 @@ def is_valid_hilbert(n: int, values) -> bool:
     rank, and every strict descent (including the entry from the zero tail)
     lands at a value >= n.
     """
-    vals = [int(v) for v in values]
+    vals = list(values)
+    for v in vals:
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise TypeError(f"difference values must be integers, got {v!r}")
     if not vals or vals[-1] < 1:
         return False
     prev = 0

@@ -359,20 +359,13 @@ def _spoly_work(f, g, lcm: int, p: int) -> tuple[dict, list]:
     return work, keys
 
 
-def _spoly(f: Poly, g: Poly) -> Poly:
-    pk = _Packing(f.nvars, f.degree() + g.degree())
-    rf, rg = _record(pk.pack_terms(f.terms), f.p), _record(pk.pack_terms(g.terms), g.p)
-    lcm = pk.pack(_lcm(f.lead_exps(), g.lead_exps()))
-    return Poly(f.p, f.nvars, pk.unpack_terms(_spoly_work(rf, rg, lcm, f.p)[0]))
-
-
 def _buchberger(gens, p: int, nvars: int, certified):
     """Buchberger's algorithm with normal pair selection (smallest lcm first,
     ties by index) and both classical pair-elimination criteria: the records
     and packing of a Groebner basis of the nonzero generators, or None once
     ``certified`` holds for the lead exponents of a generator or new element.
     """
-    pk = _Packing(nvars, max(g.degree() for g in gens))
+    pk = _Packing(nvars, 2 * max(g.degree() for g in gens))  # room for the lcm of any two generators
     G = [_record(pk.pack_terms(g.terms), p) for g in gens]
     leads = [pk.unpack(lead) for lead, _ in G]
     if any(map(certified, leads)):
@@ -496,7 +489,10 @@ def maximal_minors(matrix, size: int) -> list[Poly]:
     """All determinants of ``size`` rows of a matrix with ``size`` columns.
 
     Cofactor expansion along the first column, memoizing shared
-    subdeterminants across the different row choices.
+    subdeterminants across the different row choices.  The entries are
+    packed once, for the sum over the columns of their largest entry degree,
+    which bounds the degree of every subdeterminant; the expansion runs on
+    packed terms, and a ``Poly`` is built only for each minor returned.
     """
     rows = [list(row) for row in matrix]
     if any(len(row) != size for row in rows):
@@ -511,30 +507,26 @@ def maximal_minors(matrix, size: int) -> list[Poly]:
                 raise ModulusMismatch("matrix entries live in different rings")
     else:
         raise ShapeError("cannot take minors of a matrix with no entries")
-    one = Poly.const(1, p, nvars)
-    zero = Poly.zero(p, nvars)
-    memo: dict[tuple, Poly] = {}
+    pk = _Packing(nvars, sum(max(0, *map(Poly.degree, col)) for col in zip(*rows)))
+    packed = [[list(pk.pack_terms(e.terms).items()) for e in row] for row in rows]
+    memo: dict[tuple[int, ...], dict] = {(): {0: 1}}
 
-    def det(row_idx: tuple[int, ...], col_idx: tuple[int, ...]) -> Poly:
-        if not row_idx:
-            return one
-        key = (row_idx, col_idx)
-        cached = memo.get(key)
+    def det(row_idx: tuple[int, ...]) -> dict:
+        # the rows left say which columns are left: the last len(row_idx)
+        cached = memo.get(row_idx)
         if cached is not None:
             return cached
-        j = col_idx[0]
-        rest = col_idx[1:]
-        acc = zero
+        j = size - len(row_idx)
+        acc: dict[int, int] = {}
+        keys: list[int] = []  # unread: a sum needs no order
         for pos, i in enumerate(row_idx):
-            entry = rows[i][j]
-            if entry:
-                sub = det(row_idx[:pos] + row_idx[pos + 1 :], rest)
-                term = entry * sub
-                acc = acc + term if pos % 2 == 0 else acc - term
-        memo[key] = acc
+            if packed[i][j]:
+                sub = det(row_idx[:pos] + row_idx[pos + 1 :]).items()
+                for m, c in packed[i][j]:
+                    _sub_multiple(acc, keys, -c if pos % 2 == 0 else c, m, sub, p)
+        memo[row_idx] = acc
         return acc
 
-    cols = tuple(range(size))
-    minors = [det(sel, cols) for sel in combinations(range(len(rows)), size)]
+    minors = [Poly(p, nvars, pk.unpack_terms(det(sel))) for sel in combinations(range(len(rows)), size)]
     memo.clear()  # det refers to itself, so a collection, not return, frees it
     return minors

@@ -46,6 +46,16 @@ def test_bundle_seq_validation():
     assert (s.r, s.m, s.degree) == (4, 4, 9)
 
 
+@pytest.mark.parametrize("values", [[5.5, 4], [5.9, 4], ["5", "4"], [True, 4], [5, 4.0]])
+def test_non_integer_entries_are_refused_not_coerced(values):
+    with pytest.raises(TypeError):
+        BundleSeq(3, values)
+    with pytest.raises(TypeError):
+        HilbertFn(3, 0, values)
+    with pytest.raises(TypeError):
+        is_valid_hilbert(3, values)
+
+
 def test_eval_split_line_bundle():
     h = HilbertFn(3, 0, [1])
     assert [h.value(t) for t in (0, 1, 2)] == [1, 4, 10]

@@ -169,11 +169,21 @@ def test_groebner_every_spair_reduces_to_zero():
         parse_poly("x0*x2^2 + x1^2*x2", p, nvars),
     ]
     gb = groebner_basis(gens)
-    from pnbundles.poly import _spoly
+
+    def spoly(f, g):
+        # S(f, g) from public operations only: each lead is lifted to the lcm
+        # of both, made monic, and the two cancel
+        lcm = tuple(map(max, f.lead_exps(), g.lead_exps()))
+
+        def monic_lift(h):
+            shift = tuple(a - b for a, b in zip(lcm, h.lead_exps()))
+            return Poly(p, nvars, {shift: pow(h.lead_coeff(), -1, p)}) * h
+
+        return monic_lift(f) - monic_lift(g)
 
     for i in range(len(gb)):
         for j in range(i):
-            assert not normal_form(_spoly(gb[i], gb[j]), gb)
+            assert not normal_form(spoly(gb[i], gb[j]), gb)
 
 
 def test_groebner_against_macaulay_oracle():
@@ -238,6 +248,19 @@ def test_maximal_minors_against_leibniz():
             got = maximal_minors(matrix, cols)
             want = leibniz_maximal_minors(matrix, cols, p, nvars)
             assert got == want, (rows, cols)
+    for texts in (
+        # several terms of different degrees in one column, and a constant entry
+        [["x0^3 + x1 + 2", "x2"], ["3", "x0*x1 + x2^2 + 1"], ["x1^2*x2 + x0", "4*x1"]],
+        # an all-zero column
+        [["x0", "0"], ["x1^2 + x2", "0"], ["x2", "0"]],
+        # column degrees summing to 7 and to 8, where the packed fields widen
+        [["x0^4", "x1^3"], ["x2^4 + x1", "x0^3"]],
+        [["x0^4", "x1^4"], ["x2^4 + x1", "x0^4"]],
+        [["x0^3", "x1", "0"], ["x1^3", "x0^3", "x2"], ["x2", "x2^3", "x0^2"], ["1", "0", "x1^2"]],
+    ):
+        matrix = [[parse_poly(t, p, nvars) for t in row] for row in texts]
+        cols = len(texts[0])
+        assert maximal_minors(matrix, cols) == leibniz_maximal_minors(matrix, cols, p, nvars), texts
 
 
 @pytest.mark.parametrize("powers,extra,want", [

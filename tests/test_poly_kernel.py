@@ -122,9 +122,8 @@ def test_m_primary_test_matches_full_basis_scan_on_random_ideals(ideal):
     assert ideal.is_m_primary_or_unit() is full_basis_m_primary(ideal.gens, ideal.nvars)
 
 
-def test_packing_widens_while_pairs_are_pending(monkeypatch):
-    # the generators pack with cap 3 and their pairs' lcms with cap 7; the
-    # sixth basis element needs cap 15, and six pairs wait on the heap then
+def record_caps(monkeypatch) -> list:
+    """The cap of every packing made from now on, in order."""
     caps = []
 
     class Recording(poly._Packing):
@@ -133,11 +132,37 @@ def test_packing_widens_while_pairs_are_pending(monkeypatch):
             caps.append(self.cap)
 
     monkeypatch.setattr(poly, "_Packing", Recording)
+    return caps
+
+
+def test_packing_widens_while_pairs_are_pending(monkeypatch):
+    # the generators and their pairs' lcms, of degree up to 6, pack with
+    # cap 7; the sixth basis element needs cap 15, and six pairs wait on the
+    # heap then
+    caps = record_caps(monkeypatch)
     gens = [parse_poly(g, 32003, 3) for g in ["x0^3 - x1*x2^2", "x1^3 - x0^2*x2", "x0*x1 - x2^2"]]
     basis = groebner_basis(gens)
-    assert caps == [3, 7, 15]
+    assert caps == [7, 15]
     assert [format_poly(g) for g in basis] == [format_poly(g) for g in tuple_groebner_basis(gens)]
     assert Ideal(gens).is_m_primary_or_unit() is full_basis_m_primary(gens, 3) is False
+
+
+def test_first_packing_holds_the_lcm_of_any_two_generators(monkeypatch):
+    caps = record_caps(monkeypatch)
+    basis = groebner_basis([parse_poly("x0^2", 32003, 2), parse_poly("x1^2", 32003, 2)])
+    assert caps == [7]  # twice the generators' degree 2: no widening at the first pair
+    assert [format_poly(g) for g in basis] == ["x0^2", "x1^2"]
+
+
+@pytest.mark.parametrize("a,b", [SHAPES[0], SHAPES[2]])
+def test_minors_pack_once_and_build_one_poly_per_minor(monkeypatch, a, b):
+    m = random_minimal_map(BettiPair(3, a, b), 32003, 1)
+    caps, polys = record_caps(monkeypatch), []
+    init = Poly.__init__
+    monkeypatch.setattr(Poly, "__init__", lambda self, *args: polys.append(self) or init(self, *args))
+    minors = maximal_minors(m.rows, len(a))
+    assert len(caps) == 1
+    assert polys == minors and len(minors) > 1
 
 
 def test_no_reduction_before_a_certificate(monkeypatch):
