@@ -294,7 +294,8 @@ def main(argv=None) -> int:
         code = exc.code if isinstance(exc, DomainError) else BadInput.code
         sys.stderr.write(dumps({"error": code, "detail": str(exc)}) + "\n")
         return 1
-    sys.stdout.write(out + "\n")
+    sys.stdout.write(out)  # two writes: no second copy of a large output
+    sys.stdout.write("\n")
     return 0
 
 

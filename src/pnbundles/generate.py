@@ -4,11 +4,12 @@ Bundle sequences of fixed rank are built tail-first: a sequence is a head
 prepended to a shorter sequence of the same rank, so generation reduces to a
 constrained composition problem.  One table, filled degree by degree, holds
 the sequences of every degree from r up; its count-only twin sizes that table
-before any sequence is built.  Every row of the table is ascending, and the
-regularity of a sequence's minimal pair is read off its last two entries in
-O(1), so ``enumerate --max-reg`` prints the rows (s0, values) of ``reg_rows``
-straight from the value tuples; ``bundle_sequences_by_reg`` wraps the same
-rows in ``HilbertFn``.
+before any sequence is built.  Every row of the table is ascending.  Within
+one degree the regularity of a sequence's minimal pair depends only on
+whether its last two entries fall, so ``reg_rows`` filters each degree at
+once, ``enumerate --max-reg`` prints its rows (s0, values) straight from the
+value tuples, and ``bundle_sequences_by_reg`` wraps the same rows in
+``HilbertFn``.
 """
 
 from __future__ import annotations
@@ -84,23 +85,20 @@ def bundle_sequences(n: int, r: int, degree: int) -> list[BundleSeq]:
     return [BundleSeq(n, values) for values in _sequences(n, r, degree - r)[-1]]
 
 
-def _regularity(values: tuple[int, ...], s0: int) -> int:
-    """Regularity of the minimal pair of the Hilbert function with anchor s0
-    and bundle sequence ``values``, in O(1).
-
-    b holds the upward jumps of the profile and a the downward ones, so it
-    is max(s0 + last rise, s0 + last fall - 1).  The last entry differs from
-    the one before it, so the last index m - 1 is a rise or a fall: a rise
-    gives s0 + m - 1, and a fall s0 + m - 2, as every rise comes before it.
-    """
-    m = len(values)
-    return s0 + m - 1 - (m > 1 and values[-2] > values[-1])
-
-
 def reg_rows(n: int, r: int, d: int) -> list[tuple[int, tuple[int, ...]]]:
     """The rows (s0, values) of ``bundle_sequences_by_reg(n, r, d)``, in its
     order, with no value object built.  Raises BadInput past MAX_SEQUENCES
-    or MAX_LENGTH."""
+    or MAX_LENGTH.
+
+    The regularity of the minimal pair with anchor s0 is max(s0 + last rise,
+    s0 + last fall - 1), as b holds the upward jumps of the profile and a the
+    downward ones.  The last of m entries differs from the one before it, so
+    the last index m - 1 is a rise or a fall: a rise gives s0 + m - 1, and a
+    fall s0 + m - 2, as every rise comes before it.  The normalizing anchor
+    makes s0 + m - 1 = ceil(degree / r) - 1 for every row of one degree, so
+    a degree passes or fails whole, except where that is d + 1: there a row
+    passes when its last two entries fall.
+    """
     _check_n_r(n, r)
     top = r * (d + 1)
     if top < 0:
@@ -108,7 +106,10 @@ def reg_rows(n: int, r: int, d: int) -> list[tuple[int, tuple[int, ...]]]:
     rows = []
     for e, row in enumerate(_sequences(n, r, top)):
         anchor = -((-(r + e)) // r)  # ceil(degree / r)
-        rows.extend((anchor - len(v), v) for v in row if _regularity(v, anchor - len(v)) <= d)
+        if anchor - 1 <= d:
+            rows.extend((anchor - len(v), v) for v in row)
+        elif anchor - 2 == d:  # only a last fall brings the regularity down to d
+            rows.extend((anchor - len(v), v) for v in row if len(v) > 1 and v[-2] > v[-1])
     return rows
 
 

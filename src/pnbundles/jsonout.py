@@ -4,14 +4,28 @@
 for the types the payloads use.  It exists because ``json.dumps`` runs its
 pure-Python encoder whenever an indent is set (through Python 3.12), and
 that encoder dominated the cost of the large outputs: it writes one chunk
-per token, where this writer joins a list of ints in one call.
+per token.
+
+This writer types and writes a list column by column.  A list of ints is
+joined in one call.  A list of int sequences is typed in one pass over all
+their entries and written with one join per sequence.  A list of dicts that
+share one key set is written through one ``%`` template of its sorted keys,
+and each key's column of values takes the same path, recursively; the
+column texts are lazy, zipped into the row texts.  Any other list (mixed
+key sets, a bool among ints, a float) is written value by value, so other
+types raise TypeError there.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
-_INT = frozenset([int])
+_INT = frozenset([int])  # exact types: a bool is not an int here
+_STR = frozenset([str])
+_SEQ = frozenset([list, tuple])
+_DICT = frozenset([dict])
 
 
 def dumps(obj) -> str:
@@ -37,11 +51,7 @@ def _encode(o, nl: str) -> str:
     if t is list or t is tuple:
         if not o:
             return "[]"
-        if _INT.issuperset(map(type, o)):  # a bool is not an int here
-            items = map(int.__repr__, o)
-        else:
-            items = [_encode(v, inner) for v in o]
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
+        return "[" + inner + ("," + inner).join(_column(o, inner)) + nl + "]"
     if t is dict:
         if not o:
             return "{}"
@@ -49,3 +59,24 @@ def _encode(o, nl: str) -> str:
         items = [encode_basestring_ascii(k) + ": " + _encode(v, inner) for k, v in sorted(o.items())]
         return "{" + inner + ("," + inner).join(items) + nl + "}"
     raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
+def _column(values, nl: str):
+    """The texts of ``values``, each written at the line start ``nl``, as a
+    lazy iterable; the types are checked before it is returned."""
+    types = set(map(type, values))
+    if types <= _INT:
+        return map(int.__repr__, values)
+    inner = nl + "  "
+    if types <= _SEQ and _INT.issuperset(map(type, chain.from_iterable(values))):
+        head, sep, tail = "[" + inner, "," + inner, nl + "]"
+        return (head + sep.join(map(int.__repr__, v)) + tail if v else "[]" for v in values)
+    if types == _DICT:
+        keys = values[0].keys()
+        if keys and _STR.issuperset(map(type, keys)) and all(map(keys.__eq__, map(dict.keys, values))):
+            names = sorted(keys)
+            fields = (encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in names)
+            template = "{" + inner + ("," + inner).join(fields) + nl + "}"
+            columns = [_column(list(map(itemgetter(k), values)), inner) for k in names]
+            return map(template.__mod__, zip(*columns))
+    return (_encode(v, nl) for v in values)

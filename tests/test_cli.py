@@ -13,6 +13,7 @@ jsonschema = pytest.importorskip("jsonschema")
 
 from pnbundles import cli
 from pnbundles.bundles import MAX_N
+from pnbundles.generate import reg_rows
 
 from _oracles import memo_bundle_sequences_by_reg
 
@@ -303,6 +304,14 @@ def test_enumerate_by_reg_matches_memo_oracle(n, r, d, capsys):
     want_csv = "\n".join(",".join(map(str, (s0,) + v)) for s0, v in rows)
     assert run_cli(argv, capsys) == (0, want_json + "\n", "")
     assert run_cli(argv + ["--format", "csv"], capsys) == (0, want_csv + "\n", "")
+
+
+def test_enumerate_by_reg_matches_json_dumps_at_benchmark_size(capsys):
+    # the 47,475 rows that the classify benchmark prints, against the standard library
+    rows = reg_rows(4, 6, 4)
+    assert len(rows) == 47475
+    want = json.dumps([{"B": list(v), "s0": s0} for s0, v in rows], indent=2, sort_keys=True)
+    assert run_cli(["enumerate", "--n", "4", "--rank", "6", "--max-reg", "4"], capsys) == (0, want + "\n", "")
 
 
 @pytest.mark.parametrize("argv,code", [

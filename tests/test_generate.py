@@ -5,7 +5,7 @@ import pytest
 from pnbundles import generate
 from pnbundles.betti import BettiPair
 from pnbundles.errors import BadInput, RegularityTooSmall
-from pnbundles.generate import bundle_sequences, bundle_sequences_by_reg, max_difference
+from pnbundles.generate import bundle_sequences, bundle_sequences_by_reg, max_difference, reg_rows
 from pnbundles.hilbert import HilbertFn, is_valid_hilbert, minimal_betti
 from pnbundles.seqs import MAX_VALUES, IntSeq, is_sub_multiset
 
@@ -180,15 +180,20 @@ def test_by_reg_matches_memo_oracle(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_regularity_read_off_the_table(n):
-    # the O(1) regularity of every table entry against its minimal pair, at two anchors
+    # the per-degree filter of reg_rows against the minimal pair of every
+    # table entry at its normalizing anchor
     for r in range(1, 7):
+        entries = []  # (e, s0, values, regularity), in table order
         for e, row in enumerate(generate._sequences(n, r, 2 * r)):
             assert list(row) == sorted(row)
+            anchor = -((-(r + e)) // r)
             for values in row:
                 assert sum(values) == r + e
-                for s0 in (0, -3):
-                    want = minimal_betti(HilbertFn(n, s0, values)).regularity()
-                    assert generate._regularity(values, s0) == want, (values, s0)
+                s0 = anchor - len(values)
+                entries.append((e, s0, values, minimal_betti(HilbertFn(n, s0, values)).regularity()))
+        for d in (-2, -1, 0, 1):  # reg_rows fills the table up to r * (d + 1) <= 2r
+            want = [(s0, v) for e, s0, v, reg in entries if e <= r * (d + 1) and reg <= d]
+            assert reg_rows(n, r, d) == want, (r, d)
 
 
 def _table_size(n, r, degree):

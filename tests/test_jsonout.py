@@ -13,6 +13,26 @@ from pnbundles.jsonout import dumps
 _ints = st.one_of(st.integers(-10, 10), st.integers(-(2**200), 2**200), st.booleans())
 _text = st.one_of(st.sampled_from(["", "a", "\x00\n\t\"\\", "é☃", "\U0001f600", "\ud800"]), st.text(max_size=8))
 _leaves = st.one_of(st.none(), _ints, _text)
+
+# lists of dicts that share one key set take the column path: keys with "%",
+# quotes and non-ASCII; cells with ints (bools among them), None, int
+# sequences (empty ones too) and lists of int tuples
+_keys = st.sampled_from(["a", "B", "s0", "%s", "%", "100%", '"q"', "é☃", "\U0001f600"])
+_int_seqs = st.one_of(st.lists(_ints, max_size=4), st.lists(_ints, max_size=4).map(tuple))
+_cells = st.one_of(st.none(), _ints, _int_seqs, st.lists(st.lists(_ints, max_size=3).map(tuple), max_size=3))
+
+
+def _records(values):
+    return st.lists(_keys, min_size=1, max_size=4, unique=True).flatmap(
+        lambda keys: st.lists(st.fixed_dictionaries({k: values for k in keys}), min_size=1, max_size=5)
+    )
+
+
+def _spliced(rows, odd):
+    """Records with one odd value put in: a dict of another key set, or no dict."""
+    return st.tuples(rows, st.integers(0, 5), odd).map(lambda t: t[0][: t[1]] + [t[2]] + t[0][t[1]:])
+
+
 _documents = st.recursive(
     _leaves,
     lambda inner: st.one_of(
@@ -20,6 +40,9 @@ _documents = st.recursive(
         st.lists(_ints, max_size=5),  # the fast path for int lists, bools mixed in
         st.lists(inner, max_size=5).map(tuple),
         st.dictionaries(_text, inner, max_size=5),
+        st.lists(_int_seqs, max_size=5),
+        _records(st.one_of(_cells, inner)),
+        _spliced(_records(_cells), st.one_of(st.dictionaries(_keys, _cells, max_size=3), _leaves)),
     ),
     max_leaves=30,
 )
@@ -31,12 +54,18 @@ def test_matches_json_dumps(doc):
     assert dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 
-@pytest.mark.parametrize("doc", [[], {}, (), [[]], {"a": {}}, [True, 1, False], (1, 2), -0, 10**300])
+@pytest.mark.parametrize("doc", [
+    [], {}, (), [[]], {"a": {}}, [True, 1, False], (1, 2), -0, 10**300,
+    [{"a": ()}], [{"%s": 1}, {"%s": 2}], [{"a": 1}, {"a": True}], [[1], [True]],
+    [{"a": 1, "b": [()]}, {"b": [(2,), []], "a": -3}], [{}, {}], [{"a": {"b": 1}}, {"a": {"b": (2,)}}],
+])
 def test_matches_json_dumps_on_edges(doc):
     assert dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 
-@pytest.mark.parametrize("doc", [1.5, [1, 2.0], {"x": [0.5]}, {1: 2}, {"s": {1, 2}}])
+@pytest.mark.parametrize("doc", [
+    1.5, [1, 2.0], {"x": [0.5]}, {1: 2}, {"s": {1, 2}}, [{"a": [1, 2.0]}], [{1: 2}, {1: 3}], [(1,), {2}],
+])
 def test_other_types_raise_type_error(doc):
     with pytest.raises(TypeError):
         dumps(doc)
