@@ -6,10 +6,11 @@ constrained composition problem.  One table, filled degree by degree, holds
 the sequences of every degree from r up; its count-only twin sizes that table
 before any sequence is built.  Every row of the table is ascending.  Within
 one degree the regularity of a sequence's minimal pair depends only on
-whether its last two entries fall, so ``reg_rows`` filters each degree at
-once, ``enumerate --max-reg`` prints its rows (s0, values) straight from the
-value tuples, and ``bundle_sequences_by_reg`` wraps the same rows in
-``HilbertFn``.
+whether its last two entries fall, so ``reg_rows`` keeps or drops each degree
+whole, and at the edge degree builds only the falling rows, from the same
+recursion restricted to falling tails.  ``enumerate --max-reg`` prints its
+rows (s0, values) straight from the value tuples, and
+``bundle_sequences_by_reg`` wraps the same rows in ``HilbertFn``.
 """
 
 from __future__ import annotations
@@ -62,8 +63,17 @@ def _sequences(n: int, r: int, top: int) -> list[tuple[tuple[int, ...], ...]]:
     degree r + e, for e = 0..top, ascending: heads ascend, and the tails of
     one head come from a row that ascends."""
     _check_size(n, r, top)
-    table = [((r,),)]
-    for e in range(1, top + 1):
+    return _fill(n, r, top)
+
+
+def _fill(n: int, r: int, top: int, falling: bool = False) -> list[tuple[tuple[int, ...], ...]]:
+    """The table of ``_sequences`` up to degree r + top, unchecked.  With
+    ``falling``, row e >= 1 holds only the sequences whose last two entries
+    fall, and row 0 still holds (r) as a tail: a sequence with a longer tail
+    falls exactly when its tail does, and (e, r) exactly when e > r.  Rows 1
+    to r are empty, since a fall puts an entry above r before the last r."""
+    table = [((r,),)] + [()] * r if falling else [((r,),)]
+    for e in range(len(table), top + 1):
         table.append(tuple(
             (head,) + tail
             for head in range(1, e + 1)
@@ -96,20 +106,23 @@ def reg_rows(n: int, r: int, d: int) -> list[tuple[int, tuple[int, ...]]]:
     the last index m - 1 is a rise or a fall: a rise gives s0 + m - 1, and a
     fall s0 + m - 2, as every rise comes before it.  The normalizing anchor
     makes s0 + m - 1 = ceil(degree / r) - 1 for every row of one degree, so
-    a degree passes or fails whole, except where that is d + 1: there a row
-    passes when its last two entries fall.
+    a degree r + e passes or fails whole, except where that is d + 1, at
+    r * d < e <= r * (d + 1): there a row passes when its last two entries
+    fall, and only the falling rows are built.
     """
     _check_n_r(n, r)
     top = r * (d + 1)
     if top < 0:
         return []
+    _check_size(n, r, top)
+    if d < 0:  # at d = -1 only degree r is left, and (r) has regularity 0
+        return []
     rows = []
-    for e, row in enumerate(_sequences(n, r, top)):
+    for e, row in enumerate(_fill(n, r, r * d)):
         anchor = -((-(r + e)) // r)  # ceil(degree / r)
-        if anchor - 1 <= d:
-            rows.extend((anchor - len(v), v) for v in row)
-        elif anchor - 2 == d:  # only a last fall brings the regularity down to d
-            rows.extend((anchor - len(v), v) for v in row if len(v) > 1 and v[-2] > v[-1])
+        rows.extend((anchor - len(v), v) for v in row)
+    for row in _fill(n, r, top, falling=True)[r * d + 1:top + 1]:
+        rows.extend((d + 2 - len(v), v) for v in row)
     return rows
 
 

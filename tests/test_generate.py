@@ -191,9 +191,20 @@ def test_regularity_read_off_the_table(n):
                 assert sum(values) == r + e
                 s0 = anchor - len(values)
                 entries.append((e, s0, values, minimal_betti(HilbertFn(n, s0, values)).regularity()))
-        for d in (-2, -1, 0, 1):  # reg_rows fills the table up to r * (d + 1) <= 2r
+        for d in (-2, -1, 0, 1):  # reg_rows returns degrees r + e with e <= r * (d + 1) <= 2r
             want = [(s0, v) for e, s0, v, reg in entries if e <= r * (d + 1) and reg <= d]
             assert reg_rows(n, r, d) == want, (r, d)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_falling_fill_is_the_filtered_table(n):
+    # the edge degree of reg_rows comes from the recursion on falling tails
+    # alone; it must give the falling rows of the full table, in their order
+    for r in range(1, 7):
+        top = 3 * r
+        full, falling = generate._sequences(n, r, top), generate._fill(n, r, top, falling=True)
+        for e in range(1, top + 1):
+            assert falling[e] == tuple(v for v in full[e] if len(v) > 1 and v[-2] > v[-1]), (r, e)
 
 
 def _table_size(n, r, degree):
@@ -212,6 +223,22 @@ def test_sequence_bound_is_exact(n, monkeypatch):
             monkeypatch.setattr(generate, "MAX_SEQUENCES", size - 1)
             with pytest.raises(BadInput, match=f"more than {size - 1} sequences"):
                 bundle_sequences(n, r, degree)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_reg_rows_bound_is_the_full_table(n, monkeypatch):
+    # reg_rows builds fewer rows than the table up to degree r + r * (d + 1),
+    # but refuses exactly when that table would pass the bound
+    for r in range(1, 5):
+        for d in range(-1, 3):
+            want = reg_rows(n, r, d)
+            size = _table_size(n, r, r + r * (d + 1))
+            monkeypatch.setattr(generate, "MAX_SEQUENCES", size)
+            assert reg_rows(n, r, d) == want
+            monkeypatch.setattr(generate, "MAX_SEQUENCES", size - 1)
+            with pytest.raises(BadInput, match=f"^enumerate would build more than {size - 1} sequences$"):
+                reg_rows(n, r, d)
+            monkeypatch.undo()
 
 
 def test_sequence_length_bound():

@@ -69,3 +69,30 @@ def test_matches_json_dumps_on_edges(doc):
 def test_other_types_raise_type_error(doc):
     with pytest.raises(TypeError):
         dumps(doc)
+
+
+# the per-call cache of int texts is keyed by value, and True == 1: a bool
+# must not reach it by any path (a lone int, an int list, an int sequence,
+# a record column), whichever of the two comes first
+_ONE_AND_TRUE = [1, True, [1, True], [[1], [True]], {"a": 1, "b": True}, [{"k": 1}, {"k": True}]]
+_TRUE_AND_ONE = [True, 1, [True, 1], [[True], [1]], {"a": True, "b": 1}, [{"k": True}, {"k": 1}]]
+
+
+@pytest.mark.parametrize("doc", [_ONE_AND_TRUE, _TRUE_AND_ONE])
+def test_bools_and_equal_ints_share_no_text(doc):
+    assert dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("doc", [10**5000, [1, 10**5000], [(1,), (2, 10**5000)], [{"a": 1}, {"a": 10**5000}]],
+                         ids=["alone", "int list", "int sequence", "record column"])
+def test_int_past_the_digit_limit_raises_value_error(doc):
+    with pytest.raises(ValueError):
+        json.dumps(doc, indent=2, sort_keys=True)
+    with pytest.raises(ValueError):
+        dumps(doc)
+
+
+def test_no_cache_carries_over_between_calls():
+    first, second = [1, [2, 3], {"a": 4}], [{"b": [True, 1]}, True, 1, [1, 2]]
+    for doc in (first, second, first):
+        assert dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
