@@ -4,7 +4,10 @@ A presentation matrix realizes a Betti pair: rows follow the target twists
 b, columns the source twists a, and the entry at (i, j) is zero or
 homogeneous of degree a_j - b_i.  The cokernel is a bundle exactly when the
 ideal of maximal minors is the unit ideal or primary to the irrelevant
-maximal ideal, which is what ``verify_bundle`` decides.
+maximal ideal, which is what ``verify_bundle`` decides.  With r = n it lets
+the Hilbert function that the twists predict for a bundle's minor ideal
+(Eagon-Northcott) end the Buchberger loop early; with r < n only a constant
+minor can make a bundle.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from __future__ import annotations
 import random
 from collections import Counter, defaultdict
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 from .betti import BettiPair, generalization_witness
 from .errors import (
@@ -23,7 +28,7 @@ from .errors import (
     NotGeneralization,
     ShapeError,
 )
-from .poly import Ideal, Poly, check_prime, format_poly, maximal_minors, monomials, parse_poly
+from .poly import Poly, _m_primary, check_prime, format_poly, maximal_minors, monomials, parse_poly
 from .seqs import Frozen, IntSeq, json_int
 
 # random_minimal_map draws one coefficient for every monomial of every entry;
@@ -202,14 +207,49 @@ def random_matrix(pair: BettiPair, prime: int, seed) -> PresMatrix:
 def verify_bundle(m: PresMatrix) -> bool:
     """Decide whether the cokernel of the matrix is a bundle.
 
-    True iff the ideal of maximal minors is the unit ideal or primary to the
-    irrelevant maximal ideal; trivially true when there are no columns.
+    True iff the ideal I of maximal minors is the unit ideal or primary to
+    the irrelevant maximal ideal; trivially true when there are no columns.
+    I has height at most r + 1 (Eagon-Northcott), so for r < n only a
+    constant minor makes a bundle, and no minor is taken when the twists
+    allow none.  For r = n, when degree top has at most MAX_MONOMIALS
+    monomials, the Buchberger loop stops as soon as its leads leave no
+    standard monomial or miss the Hilbert function R/I has if it is a bundle.
     """
-    l = m.pair.l
+    pair, l, n = m.pair, m.pair.l, m.pair.n
     if l == 0:
         return True
+    if pair.r < n:  # only a minor of rows S with sum(b_S) = sum(a), so sum(b off S) = -c1, can be constant
+        return -pair.c1() in map(sum, combinations(pair.b, pair.r)) and any(
+            f.degree() == 0 for f in maximal_minors(m.rows, l)
+        )
     distinct = dict.fromkeys(f for f in maximal_minors(m.rows, l) if f)
-    return Ideal(distinct, p=m.p, nvars=m.pair.n + 1).is_m_primary_or_unit()
+    top = pair.a.total() + n * pair.a[-1] - pair.b.total() - n  # a bundle's R/I vanishes from degree top on
+    few = pair.r == n and 0 <= top <= MAX_MONOMIALS and comb(top + n, n) <= MAX_MONOMIALS
+    return _m_primary(list(distinct), m.p, n + 1, (lambda: _hilbert_prediction(pair, top)) if few else None)
+
+
+def _hilbert_prediction(pair: BettiPair, top: int) -> dict[int, int]:
+    """{t: dim (R/I)_t} for t = 0..top, if I, the ideal of maximal minors of a
+    matrix of the pair's shape with r = n, has height r + 1.  Then the
+    Eagon-Northcott complex resolves R/I; its k-th module has a generator of
+    degree sum(a) + sum(a_T) - sum(b_S) for each set S of l + k - 1 rows and
+    multiset T of k - 1 columns.  By the complement of S, the Hilbert series
+    has numerator N(z) = 1 + sum_k (-1)^k z^c1 e_(r+1-k)(z^b) h_(k-1)(z^a).
+    """
+    n, r, c1 = pair.n, pair.r, pair.c1()
+    # e[j], h[j]: the elementary and the complete symmetric sums of degree j, as {power: coefficient}
+    e, h = ([Counter({0: 1})] + [Counter() for _ in range(r)] for _ in range(2))
+    for sums, values, js in ((e, pair.b, range(r, 0, -1)), (h, pair.a, range(1, r + 1))):
+        for v in values:
+            for j in js:
+                for s, c in sums[j - 1].items():
+                    sums[j][s + v] += c
+    num = Counter({0: 1})
+    for k in range(1, r + 2):
+        for x, c in e[r + 1 - k].items():
+            for y, c2 in h[k - 1].items():
+                num[c1 + x + y] += (-1) ** k * c * c2
+    return {t: sum(c * comb(t - d + n, n) for d, c in num.items() if d <= t) for t in range(top + 1)}
 
 
 def minimize_presentation(m: PresMatrix) -> tuple[BettiPair, PresMatrix]:

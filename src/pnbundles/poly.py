@@ -359,27 +359,37 @@ def _spoly_work(f, g, lcm: int, p: int) -> tuple[dict, list]:
     return work, keys
 
 
-def _buchberger(gens, p: int, nvars: int, certified):
+def _buchberger(gens, p: int, nvars: int, certified, predict=None):
     """Buchberger's algorithm with normal pair selection (smallest lcm first,
     ties by index) and both classical pair-elimination criteria: the records
     and packing of a Groebner basis of the nonzero generators, or None once
     ``certified`` holds for the lead exponents of a generator or new element.
+
+    ``predict``, called only when no generator is certified, gives the
+    Hilbert function {t: h(t)}, zero elsewhere, that R/I has if I is
+    m-primary.  The loop then keeps the standard monomials of the degree t
+    of its pairs.  It returns None once none is left, skips the rest of
+    degree t's pairs once they number h(t), and returns the records found so
+    far once they fall below h(t), end degree t above it, or the heap empties.
     """
     pk = _Packing(nvars, 2 * max(g.degree() for g in gens))  # room for the lcm of any two generators
     G = [_record(pk.pack_terms(g.terms), p) for g in gens]
     leads = [pk.unpack(lead) for lead, _ in G]
     if any(map(certified, leads)):
         return None
+    hilbert = predict() if predict else None
     heap, pending = [], set()  # pending: the (i, j) of the heap's entries
+    std, deg = {0}, 0  # the standard monomials of degree deg, packed: 0 packs 1
 
     def add_pairs(j: int) -> None:
-        nonlocal pk
+        nonlocal pk, std
         lcms = [_lcm(leads[i], leads[j]) for i in range(j)]
         top = max(map(sum, lcms), default=0)
         if top > pk.cap:  # every term met while reducing this pair has degree <= top
             old, pk = pk, _Packing(nvars, top)
             G[:] = [(pk.pack(old.unpack(lead)), [(pk.pack(old.unpack(m)), c) for m, c in tail]) for lead, tail in G]
             heap[:] = [(pk.pack(old.unpack(lcm)), i, k) for lcm, i, k in heap]  # same order: still a heap
+            std = {pk.pack(old.unpack(m)) for m in std}
         for i, lcm in enumerate(lcms):
             heappush(heap, (pk.pack(lcm), i, j))
             pending.add((i, j))
@@ -389,6 +399,20 @@ def _buchberger(gens, p: int, nvars: int, certified):
     while heap:
         lcm, i, j = heappop(heap)
         pending.discard((i, j))
+        if hilbert is not None:
+            d = sum(map(max, leads[i], leads[j]))  # no later pair has a lower degree, nor a new lead
+            while deg < d and len(std) == hilbert.get(deg, 0):  # degree deg ended as predicted
+                # m is standard iff it is no lead and m / x_i is standard for each x_i dividing m
+                deg, known, xs = deg + 1, {g for g, _ in G}, list(zip(pk._vars, pk._shifts))
+                std = {m for m in {s + x for s in std for x, _ in xs}
+                       if m not in known and all(m - x in std for x, sh in xs if m >> sh & pk.cap)}
+            if not std:
+                return None  # every monomial of degree deg is a lead
+            excess = len(std) - hilbert.get(deg, 0)
+            if excess < 0 or deg < d:  # short, or degree deg ended above h
+                return G, pk
+            if not excess:
+                continue  # when I is m-primary, the leads of degree d are all found
         if lcm == G[i][0] + G[j][0]:  # no carry: each field of the sum is at most 2 * cap < 2^width
             continue  # coprime leads: S-polynomial reduces to zero
         guard = pk.guard
@@ -406,6 +430,7 @@ def _buchberger(gens, p: int, nvars: int, certified):
             leads.append(pk.unpack(G[-1][0]))
             if certified(leads[-1]):
                 return None
+            std.discard(G[-1][0])
             add_pairs(len(G) - 1)
     return G, pk
 
@@ -473,16 +498,20 @@ class Ideal(Frozen):
         for g in self.gens:
             if g and not g.is_homogeneous():
                 raise ValueError("is_m_primary_or_unit needs homogeneous generators")
-        gens = [g for g in self.gens if g]
-        missing = set(range(self.nvars))
+        return _m_primary([g for g in self.gens if g], self.p, self.nvars)
 
-        def certified(lead: tuple[int, ...]) -> bool:
-            support = [i for i, e in enumerate(lead) if e]
-            if len(support) == 1:
-                missing.discard(support[0])
-            return not support or not missing  # a constant: the unit ideal
 
-        return bool(gens) and _buchberger(gens, self.p, self.nvars, certified) is None
+def _m_primary(gens, p: int, nvars: int, predict=None) -> bool:
+    """``is_m_primary_or_unit`` on nonzero homogeneous generators; a missed ``predict`` means False."""
+    missing = set(range(nvars))
+
+    def certified(lead: tuple[int, ...]) -> bool:
+        support = [i for i, e in enumerate(lead) if e]
+        if len(support) == 1:
+            missing.discard(support[0])
+        return not support or not missing  # a constant: the unit ideal
+
+    return bool(gens) and _buchberger(gens, p, nvars, certified, predict) is None
 
 
 def maximal_minors(matrix, size: int) -> list[Poly]:
