@@ -5,13 +5,13 @@ sequences (a, b): the source and target twists of a two-term resolution of a
 rank r = len(b) - len(a) sheaf.  The module decides which pairs are realized
 by bundles (admissibility), computes the numeric invariants attached to a
 pair, and enumerates all admissible pairs with fixed rank, first Chern class
-and bounded regularity.
+and bounded regularity, Hilbert function by Hilbert function, from the
+sequence table and the maximal difference multisets of ``generate``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from itertools import accumulate, combinations_with_replacement
+from itertools import product
 
 from .errors import BadInput, EmptyPair
 from .seqs import Frozen, IntSeq, is_sub_multiset, json_int, seq_diff, seq_min, seq_sum
@@ -104,76 +104,32 @@ def generalizes(p: BettiPair, q: BettiPair) -> bool:
     return generalization_witness(p, q) is not None
 
 
-def _a_choices(prefix_min, lows, hi, total):
-    """Ascending tuples with per-index lower bounds ``lows``, which ascend,
-    and fixed sum.
-
-    The least sum of the entries after index i, once entry i is v, is
-    sum(max(v, w) for w in lows[i+1:]): v for each bound below v, and the
-    bound itself from the first one at or above v on, a suffix sum.
-    """
-    k = len(lows)
-    suffix = list(accumulate(reversed(lows), initial=0))[::-1]  # suffix[i] = sum(lows[i:])
-
-    def choose(i, prefix_min, total):
-        if i == k:
-            if total == 0:
-                yield ()
-            return
-        for v in range(max(prefix_min, lows[i]), hi + 1):
-            rest = total - v
-            j = bisect_left(lows, v, i + 1)
-            if rest < v * (j - i - 1) + suffix[j]:
-                break  # rest falls and the tail's least sum grows with v
-            if rest > hi * (k - i - 1):
-                continue
-            for tail in choose(i + 1, v, rest):
-                yield (v,) + tail
-
-    return choose(0, prefix_min, total)
-
-
 def enumerate_admissible(n: int, r: int, c1: int, d: int) -> frozenset[BettiPair]:
     """All admissible pairs over P^n with rank r, first Chern class c1 and
     regularity at most d.
 
-    Split pairs (empty a) are the ascending b with sum(b) = -c1 and
-    b_last <= d.  A pair with l > 0 entries in a needs r >= n, and its b
-    splits into three ascending blocks: B, the first n entries; M, the next
-    l, which bound a from below (a_i >= M_i + 1); and T, the top r - n.
-    Since sum(a) = c1 + sum(b), an a with those bounds exists only when
-    c1 + sum(B) + sum(T) >= l, a test that needs no M.  So T is chosen
-    first, then B up to T_1, failing (B, T) are dropped, and only then is M
-    chosen in [B_n, T_1] and a built from its bounds.  Every entry of b is
-    at most d and every entry of a at most d+1, so the regularity bound
-    holds by construction.  As the r entries of B and T are at most d, the
-    test also gives l <= c1 + r*d and b_1 >= l - c1 - (r-1)*d.
+    The pairs over one Hilbert function H are its minimal pair plus each
+    sub-multiset of c_max(H, d), so the result is the union of those
+    lattices over every H of rank r and class c1 whose minimal pair has
+    regularity at most d.  The twist by k = ceil(c1 / r) takes these H to
+    the normalized functions of class c1 - r*k and regularity at most d + k,
+    which the sequence table lists, about r rows for each H kept.  No size
+    bound applies: every H kept gives at least one pair.
     """
-    if not (isinstance(r, int) and r >= 1 and isinstance(n, int) and n >= 1):
-        raise ValueError("need integer r >= 1 and n >= 1")
-    found = set()
-    # split pairs
-    lo_split = -c1 - (r - 1) * d
-    if lo_split <= d:
-        for b in _a_choices(lo_split, (lo_split,) * r, d, -c1):
-            found.add(BettiPair(n, (), b))
-    if r < n:
-        return frozenset(found)
-    for l in range(1, c1 + r * d + 1):
-        b_lo = l - c1 - (r - 1) * d
-        a_max = l * (d + 1)  # the largest sum(a)
-        for top in combinations_with_replacement(range(b_lo, d + 1), r - n):
-            t1 = top[0] if top else d
-            for bottom in combinations_with_replacement(range(b_lo, t1 + 1), n):
-                fixed = c1 + sum(bottom) + sum(top)  # sum(a) - sum(M)
-                if fixed < l:
-                    continue
-                for mid in combinations_with_replacement(range(bottom[-1], t1 + 1), l):
-                    target = fixed + sum(mid)
-                    if target > a_max:
-                        continue
-                    lows = tuple(m + 1 for m in mid)
-                    b = bottom + mid + top
-                    for a in _a_choices(lows[0], lows, d + 1, target):
-                        found.add(BettiPair(n, a, b))
+    # generate and hilbert import this module
+    from .generate import _check_n_r, _rows, max_difference_counts
+    from .hilbert import HilbertFn, minimal_betti
+
+    _check_n_r(n, r)
+    k = -(-c1 // r)
+    found = []
+    for s0, values in _rows(n, r, d + k):
+        if sum(values) - (s0 + len(values)) * r != c1 - r * k:
+            continue
+        h = HilbertFn(n, s0 - k, values)
+        base = minimal_betti(h)
+        counts = list(max_difference_counts(h, d))
+        for mults in product(*(range(m + 1) for _, m in counts)):
+            c = tuple(t for (t, _), m in zip(counts, mults) for _ in range(m))
+            found.append(BettiPair(n, base.a.entries + c, base.b.entries + c))
     return frozenset(found)

@@ -35,6 +35,11 @@ from .seqs import Frozen, IntSeq, json_int
 # 10^5 of them take about a second to draw and print
 MAX_MONOMIALS = 10**5
 
+# verify_bundle takes one maximal minor for each choice of l rows among
+# l + r, or scans each choice of r rows when r < n; the 92,378 zero minors
+# of a 19 x 9 zero matrix take about half a second
+MAX_MINORS = 10**5
+
 # The largest n of a matrix that `check` reads or `present` prints: packing one
 # monomial of P^n costs O(n^2) bit operations.  Only a pair with an empty a
 # meets it in `present`, since an admissible pair with a nonempty a has more
@@ -214,10 +219,13 @@ def verify_bundle(m: PresMatrix) -> bool:
     allow none.  For r = n, when degree top has at most MAX_MONOMIALS
     monomials, the Buchberger loop stops as soon as its leads leave no
     standard monomial or miss the Hilbert function R/I has if it is a bundle.
+    Raises BadInput, before any of that, past MAX_MINORS maximal minors.
     """
     pair, l, n = m.pair, m.pair.l, m.pair.n
     if l == 0:
         return True
+    if comb(l + pair.r, l) > MAX_MINORS:
+        raise BadInput(f"the matrix has more than {MAX_MINORS} maximal minors")
     if pair.r < n:  # only a minor of rows S with sum(b_S) = sum(a), so sum(b off S) = -c1, can be constant
         return -pair.c1() in map(sum, combinations(pair.b, pair.r)) and any(
             f.degree() == 0 for f in maximal_minors(m.rows, l)

@@ -111,16 +111,19 @@ def reg_rows(n: int, r: int, d: int) -> list[tuple[int, tuple[int, ...]]]:
     fall, and only the falling rows are built.
     """
     _check_n_r(n, r)
-    top = r * (d + 1)
-    if top < 0:
-        return []
-    _check_size(n, r, top)
+    _check_size(n, r, r * (d + 1))
+    return _rows(n, r, d)
+
+
+def _rows(n: int, r: int, d: int) -> list[tuple[int, tuple[int, ...]]]:
+    """``reg_rows`` without its size check."""
     if d < 0:  # at d = -1 only degree r is left, and (r) has regularity 0
         return []
     rows = []
     for e, row in enumerate(_fill(n, r, r * d)):
         anchor = -((-(r + e)) // r)  # ceil(degree / r)
         rows.extend((anchor - len(v), v) for v in row)
+    top = r * (d + 1)
     for row in _fill(n, r, top, falling=True)[r * d + 1:top + 1]:
         rows.extend((d + 2 - len(v), v) for v in row)
     return rows
@@ -158,34 +161,26 @@ def max_difference_counts(h: HilbertFn, d: int):
     and their multiplicities k > 0; a lazy iterator, so that a caller can stop
     before the tail is made.
 
-    Candidate values range over (beta_n, d]: adding a value at or below
-    beta_n puts it in position p of the new a with the matching b-entry at
-    p+n no smaller, so no such pair is admissible.  Per-value maxima combine,
-    because admissible differences are closed under pointwise maximum.  A
-    value t above every entry of the base goes to the ends of a and b, where
-    the copy at position l+j of a meets b-entry l+n+j: an old entry, smaller
-    than t, for j < r-n, and a copy of t otherwise.  So above the largest
-    entry M every t <= d has multiplicity r-n, and only (beta_n, M] is walked.
+    Adding k copies of t <= d to both sides of the minimal pair (a, b) keeps
+    the regularity at most d and every test a_i > b_(n+i) with a_i != t
+    passing; the a-entries equal to t pass when n + #{a <= t} + k - 1 <
+    #{b < t}.  So k(t) = #{b < t} - n - #{a <= t}, negative up to b_n, and
+    as copies of a smaller value raise both counts alike, the multiplicities
+    combine value by value.  Above the largest entry M every k(t) is r - n,
+    so with r = n nothing past M is read.
     """
     base = minimal_betti(h)
     if base.regularity() > d:
-        raise RegularityTooSmall(
-            f"minimal pair has regularity {base.regularity()} > {d}"
-        )
-    if base.r < h.n:
+        raise RegularityTooSmall(f"minimal pair has regularity {base.regularity()} > {d}")
+    n, a, b = h.n, base.a.entries, base.b.entries
+    if base.r < n:
         return
-    lo = base.b.entries[h.n - 1]
-    top = max(base.a.entries + base.b.entries)
-    for t in range(lo + 1, min(d, top) + 1):
-        k = 0
-        while True:
-            cand = base.add_common(IntSeq([t] * (k + 1)))
-            if cand.is_admissible() and cand.regularity() <= d:
-                k += 1
-            else:
-                break
-        if k:
-            yield t, k
-    if base.r > h.n:
-        for t in range(top + 1, d + 1):
-            yield t, base.r - h.n
+    last = d if base.r > n else min(d, max(a + b))
+    i = j = 0  # #{b < t} and #{a <= t}, moved forward as t rises
+    for t in range(b[n - 1] + 1, last + 1):
+        while i < len(b) and b[i] < t:
+            i += 1
+        while j < len(a) and a[j] <= t:
+            j += 1
+        if i - n - j > 0:
+            yield t, i - n - j

@@ -1,5 +1,6 @@
 """Betti pairs: admissibility, invariants, generalization, enumeration."""
 
+import gc
 import hashlib
 import random
 
@@ -12,6 +13,7 @@ from pnbundles.betti import (
     generalizes,
 )
 from pnbundles.errors import BadInput
+from pnbundles.generate import reg_rows
 from pnbundles.seqs import IntSeq, seq_diff, seq_min
 
 from _oracles import brute_force_admissible, scan_admissible
@@ -141,7 +143,7 @@ def _pairs(n, r, c1, d):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_enumerate_matches_scan_oracle(n):
-    # the block search against the scan of every b it replaced; at d = 2 the
+    # the union of the lattices against the scan of every b; at d = 2 the
     # scan of c1 > 1 takes seconds per case, so that corner is left out
     for r in range(1, 6):
         for c1 in range(-4, 5):
@@ -156,6 +158,21 @@ def test_enumerate_matches_scan_oracle_on_twists(k):
     got = _pairs(*args)
     assert len(got) == 2170
     assert got == scan_admissible(*args)
+
+
+def test_enumerate_has_no_size_bound():
+    # reg_rows(1, 5, 3) refuses the table it reads, by its MAX_SEQUENCES bound
+    with pytest.raises(BadInput):
+        reg_rows(1, 5, 3)
+    got = _pairs(1, 5, 1, 2)
+    assert len(got) == 10589
+    assert got == scan_admissible(1, 5, 1, 2)
+
+
+def test_enumerate_leaves_no_reference_cycles():
+    gc.collect()
+    enumerate_admissible(3, 4, -2, 4)
+    assert gc.collect() == 0
 
 
 def test_enumerate_d2_frozen_oracle():

@@ -124,6 +124,20 @@ def test_verify_bundle_zero_block_failures():
             assert verify_bundle(m) is False
 
 
+def test_verify_bundle_bounds_its_minors(monkeypatch):
+    # the counterexample's C(5, 1) = 5 minors, at and past the bound, and a
+    # 5 x 1 matrix over P^5, which takes no minor (r < n), past it
+    m = PresMatrix.from_json({
+        "n": 3, "p": P, "a": [2], "b": [0, 0, 0, 1, 1], "entries": [["x0^2"], ["0"], ["0"], ["x3"], ["0"]],
+    })
+    monkeypatch.setattr(bundles, "MAX_MINORS", 5)
+    assert verify_bundle(m) is False
+    monkeypatch.setattr(bundles, "MAX_MINORS", 4)
+    for m in (m, PresMatrix(BettiPair(5, [1], [0] * 5), P, [[Poly.zero(P, 6)]] * 5)):
+        with pytest.raises(BadInput, match="4"):
+            verify_bundle(m)
+
+
 def test_verify_no_columns_is_trivially_true():
     pair = BettiPair(3, [], [0, 1])
     m = PresMatrix(pair, P, [[], []])

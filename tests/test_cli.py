@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 
 import pytest
@@ -12,7 +13,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from pnbundles import cli
-from pnbundles.bundles import MAX_N
+from pnbundles.bundles import MAX_MINORS, MAX_N
 from pnbundles.generate import reg_rows
 
 from _oracles import memo_bundle_sequences_by_reg
@@ -426,9 +427,13 @@ LATTICE = ["lattice", "--n", "3", "--seq", "5,4", "--anchor=-1", "--format", "js
     (["hilbert", "--n", "65", "--seq", "1^999,2"], "64"),  # just past the bound
     (["present", "--n", "3", "--a", "150", "--b", "0,0,0,0", "--mode", "random"], "100000"),  # 2.3e6 draws
     (["present", "--n", "1000000", "--a", "", "--b", "0", "--mode", "random"], "1000"),  # a document check refuses
+    (["lattice", "--n", "3", "--seq", "3", "--max-reg", "1000000000"], None),  # r = n: answered, no walk to d
 ])
 def test_work_bounded_by_flag_values(argv, bound):
     proc = run_process(argv)
+    if bound is None:
+        assert proc.returncode == 0, proc.stderr
+        return
     assert_bad_input(proc.returncode, proc.stdout, proc.stderr)
     assert bound in json.loads(proc.stderr)["detail"]
 
@@ -449,6 +454,33 @@ def test_check_bounds_the_dimension_before_reading_entries(tmp_path):
     proc = run_process(["check", str(path)])
     assert_bad_input(proc.returncode, proc.stdout, proc.stderr)
     assert str(MAX_N) in json.loads(proc.stderr)["detail"]
+
+
+def _zero_document(rows, cols, n):
+    return {"n": n, "p": 101, "a": [1] * cols, "b": [0] * rows, "entries": [["0"] * cols] * rows}
+
+
+@pytest.mark.parametrize("rows,cols,n", [
+    (26, 13, 1),  # C(26, 13) = 10,400,600 minors: past 40 s unbounded
+    (28, 14, 100),  # r < n, C(28, 14) = 40,116,600 row sets scanned: 8.8 s unbounded
+])
+def test_check_bounds_the_minors(rows, cols, n, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(_zero_document(rows, cols, n)))
+    start = time.perf_counter()
+    code, out, err = run_cli(["check", str(path)], capsys)
+    assert time.perf_counter() - start < 1
+    assert_bad_input(code, out, err)
+    assert str(MAX_MINORS) in json.loads(err)["detail"]
+
+
+@pytest.mark.parametrize("n", [1, 100])
+def test_check_answers_below_the_minors_bound(n, tmp_path, capsys):
+    # C(19, 9) = 92,378 minors, the most of any (2k + 1) x k shape under the bound
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(_zero_document(19, 9, n)))
+    code, out, _ = run_cli(["check", str(path)], capsys)
+    assert code == 0 and json.loads(out)["bundle"] is False
 
 
 def test_check_answers_at_the_dimension_bound(tmp_path):

@@ -100,7 +100,7 @@ def test_max_difference_matches_brute_force(h, d):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_max_difference_matches_walk(n):
-    # the closed form above the largest entry against the walk up to d
+    # the closed form against the walk up to d
     cases = 0
     for r in range(1, 7):
         for h0 in bundle_sequences_by_reg(n, r, 1):

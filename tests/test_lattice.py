@@ -15,7 +15,7 @@ from pnbundles.hilbert import HilbertFn, minimal_betti
 from pnbundles.lattice import MAX_NODES, BettiLattice
 from pnbundles.seqs import IntSeq, is_sub_multiset
 
-from _oracles import ScanLattice
+from _oracles import ScanLattice, scan_admissible
 
 
 @pytest.fixture
@@ -171,15 +171,15 @@ def test_lattice_axioms_random():
 ])
 def test_lattice_agrees_with_bounded_enumeration(anchor, B, d):
     # the nodes are exactly the admissible pairs with this Hilbert function
-    # and regularity <= d, as found independently by the enumeration box
-    from pnbundles.betti import enumerate_admissible
+    # and regularity <= d, as found independently by the scan of every b in
+    # the enumeration box (enumerate_admissible is built from the lattices)
     from pnbundles.hilbert import hilbert_of_betti
 
     h = HilbertFn(3, anchor, B)
     lat = BettiLattice(h, d)
     node_pairs = {lat.pair(c) for c in lat.nodes}
     base = minimal_betti(h)
-    box = enumerate_admissible(3, base.r, base.c1(), d)
+    box = {BettiPair(3, a, b) for a, b in scan_admissible(3, base.r, base.c1(), d)}
     filtered = {p for p in box if hilbert_of_betti(p) == h}
     assert node_pairs == filtered
 
