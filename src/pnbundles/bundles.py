@@ -4,18 +4,18 @@ A presentation matrix realizes a Betti pair: rows follow the target twists
 b, columns the source twists a, and the entry at (i, j) is zero or
 homogeneous of degree a_j - b_i.  The cokernel is a bundle exactly when the
 ideal of maximal minors is the unit ideal or primary to the irrelevant
-maximal ideal, which is what ``verify_bundle`` decides.  With r = n it lets
-the Hilbert function that the twists predict for a bundle's minor ideal
-(Eagon-Northcott) end the Buchberger loop early; with r < n only a constant
-minor can make a bundle.
+maximal ideal, which is what ``verify_bundle`` decides on the minimal
+presentation, left once the units (entries with a_j = b_i) are split off.
+There r < n never makes a bundle, and with r = n the Hilbert function that
+the twists predict for a bundle's minor ideal (Eagon-Northcott) ends the
+Buchberger loop early.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter, defaultdict
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 
 from .betti import BettiPair, generalization_witness
@@ -35,9 +35,9 @@ from .seqs import Frozen, IntSeq, json_int
 # 10^5 of them take about a second to draw and print
 MAX_MONOMIALS = 10**5
 
-# verify_bundle takes one maximal minor for each choice of l rows among
-# l + r, or scans each choice of r rows when r < n; the 92,378 zero minors
-# of a 19 x 9 zero matrix take about half a second
+# verify_bundle takes one maximal minor of the minimal presentation for each
+# choice of l rows among l + r, when r >= n; the 92,378 zero minors of a
+# 19 x 9 zero matrix take about half a second
 MAX_MINORS = 10**5
 
 # The largest n of a matrix that `check` reads or `present` prints: packing one
@@ -85,7 +85,7 @@ class PresMatrix(Frozen):
     @property
     def is_minimal(self) -> bool:
         """No nonzero constant entries."""
-        return all(not e or e.degree() > 0 for row in self.rows for e in row)
+        return next(_units(self.pair.a.entries, self.pair.b.entries, self.rows), None) is None
 
     def entry(self, i: int, j: int) -> Poly:
         return self.rows[i][j]
@@ -209,28 +209,56 @@ def random_matrix(pair: BettiPair, prime: int, seed) -> PresMatrix:
     return random_minimal_map(pair, prime, seed)
 
 
+def _units(a, b, rows):
+    """The positions (i, j), row by row, of the nonzero constant entries: in a
+    validated matrix, the nonzero entries where a_j = b_i."""
+    return ((i, j) for i, bi in enumerate(b) for j, aj in enumerate(a) if aj == bi and rows[i][j])
+
+
+def _split_units(m: PresMatrix) -> tuple[BettiPair, list]:
+    """The minimal pair and rows: while a unit is left, the first one clears
+    its column by row operations and is deleted with its row and column,
+    which removes one source and one target twist of equal value."""
+    pair, rows = m.pair, m.rows
+    a, b = list(pair.a.entries), list(pair.b.entries)
+    while (pivot := next(_units(a, b, rows), None)) is not None:
+        i0, j0 = pivot
+        piv_row = rows[i0]
+        cinv = pow(*piv_row[j0].terms.values(), -1, m.p)  # a unit has one term
+        cleared = []
+        for i, row in enumerate(rows):
+            if i != i0:
+                if row[j0]:
+                    factor = row[j0].scale(cinv)
+                    row = [e - factor * pe for e, pe in zip(row, piv_row)]
+                cleared.append(row[:j0] + row[j0 + 1 :])
+        rows = cleared
+        del a[j0], b[i0]
+    return (pair if len(a) == pair.l else BettiPair(pair.n, a, b)), rows
+
+
 def verify_bundle(m: PresMatrix) -> bool:
     """Decide whether the cokernel of the matrix is a bundle.
 
     True iff the ideal I of maximal minors is the unit ideal or primary to
-    the irrelevant maximal ideal; trivially true when there are no columns.
-    I has height at most r + 1 (Eagon-Northcott), so for r < n only a
-    constant minor makes a bundle, and no minor is taken when the twists
-    allow none.  For r = n, when degree top has at most MAX_MONOMIALS
-    monomials, the Buchberger loop stops as soon as its leads leave no
-    standard monomial or miss the Hilbert function R/I has if it is a bundle.
-    Raises BadInput, before any of that, past MAX_MINORS maximal minors.
+    the irrelevant maximal ideal.  I is an invariant of the cokernel, so it
+    is read off the minimal presentation: true when that has no columns, and
+    else every minor lies in the irrelevant ideal and I has height at most
+    r + 1 (Eagon-Northcott), so false when r < n.  For r >= n, BadInput is
+    raised past MAX_MINORS maximal minors, before any is taken.  For r = n,
+    when degree top has at most MAX_MONOMIALS monomials, the Buchberger loop
+    stops as soon as its leads leave no standard monomial or miss the Hilbert
+    function R/I has if it is a bundle.
     """
-    pair, l, n = m.pair, m.pair.l, m.pair.n
+    pair, rows = _split_units(m)
+    l, n = pair.l, pair.n
     if l == 0:
         return True
+    if pair.r < n:  # every minor lies in the irrelevant ideal, and their ideal has height <= r + 1 <= n
+        return False
     if comb(l + pair.r, l) > MAX_MINORS:
-        raise BadInput(f"the matrix has more than {MAX_MINORS} maximal minors")
-    if pair.r < n:  # only a minor of rows S with sum(b_S) = sum(a), so sum(b off S) = -c1, can be constant
-        return -pair.c1() in map(sum, combinations(pair.b, pair.r)) and any(
-            f.degree() == 0 for f in maximal_minors(m.rows, l)
-        )
-    distinct = dict.fromkeys(f for f in maximal_minors(m.rows, l) if f)
+        raise BadInput(f"the minimal presentation has more than {MAX_MINORS} maximal minors")
+    distinct = dict.fromkeys(f for f in maximal_minors(rows, l) if f)
     top = pair.a.total() + n * pair.a[-1] - pair.b.total() - n  # a bundle's R/I vanishes from degree top on
     few = pair.r == n and 0 <= top <= MAX_MONOMIALS and comb(top + n, n) <= MAX_MONOMIALS
     return _m_primary(list(distinct), m.p, n + 1, (lambda: _hilbert_prediction(pair, top)) if few else None)
@@ -264,40 +292,10 @@ def minimize_presentation(m: PresMatrix) -> tuple[BettiPair, PresMatrix]:
     """Split off all constant pivots and return the minimal pair and matrix.
 
     Pivots are chosen at the smallest (row, column) position for
-    determinism.  Clearing the pivot column leaves the pivot row supported
-    only at positions that are deleted with it, so each round removes one
-    source and one target twist of equal value.  The minor ideal is an
-    invariant of the cokernel, so the bundle test runs on the reduced matrix
-    and NotABundle is raised if it fails.
+    determinism.  NotABundle is raised if the minimal part fails
+    ``verify_bundle``.
     """
-    rows = [list(row) for row in m.rows]
-    a = list(m.pair.a.entries)
-    b = list(m.pair.b.entries)
-    zero_dim = (0,) * (m.pair.n + 1)
-    while True:
-        pivot = None
-        for i, row in enumerate(rows):
-            for j, e in enumerate(row):
-                if e and e.degree() == 0:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        i0, j0 = pivot
-        cinv = pow(rows[i0][j0].terms[zero_dim], -1, m.p)
-        piv_row = rows[i0]
-        for i in range(len(rows)):
-            if i != i0 and rows[i][j0]:
-                factor = rows[i][j0].scale(cinv)
-                rows[i] = [rows[i][j] - factor * piv_row[j] for j in range(len(a))]
-        del rows[i0]
-        for row in rows:
-            del row[j0]
-        del b[i0]
-        del a[j0]
-    pair = BettiPair(m.pair.n, IntSeq(a), IntSeq(b))
+    pair, rows = _split_units(m)
     reduced = PresMatrix(pair, m.p, rows)
     if not verify_bundle(reduced):
         raise NotABundle("the matrix does not present a bundle")
@@ -338,15 +336,13 @@ def _positions(big_entries, small_entries):
     """Split the positions of ``big_entries`` between the small sequence and
     the common multiset, first occurrences going to the small sequence."""
     take_small = Counter(small_entries)
-    by_value = defaultdict(list)
-    for pos, v in enumerate(big_entries):
-        by_value[v].append(pos)
     small_pos, common_pos = [], []
-    for v in sorted(by_value):
-        slots = by_value[v]
-        k = take_small.get(v, 0)
-        small_pos.extend(slots[:k])
-        common_pos.extend(slots[k:])
+    for pos, v in enumerate(big_entries):  # ascending, so first occurrences come first
+        if take_small[v]:
+            take_small[v] -= 1
+            small_pos.append(pos)
+        else:
+            common_pos.append(pos)
     return small_pos, common_pos
 
 

@@ -380,21 +380,24 @@ def _buchberger(gens, p: int, nvars: int, certified, predict=None):
     hilbert = predict() if predict else None
     heap, pending = [], set()  # pending: the (i, j) of the heap's entries
     std, deg = {0}, 0  # the standard monomials of degree deg, packed: 0 packs 1
+    supports = []  # the variables of each lead, as a bitmask
 
     def add_pairs(j: int) -> None:
         nonlocal pk, std
-        lcms = [_lcm(leads[i], leads[j]) for i in range(j)]
-        top = max(map(sum, lcms), default=0)
+        supports.append(sum(1 << k for k, e in enumerate(leads[j]) if e))
+        # coprime leads make no pair, which the chain criterion counts as treated: its S-polynomial reduces to zero
+        lcms = [(i, _lcm(leads[i], leads[j])) for i in range(j) if supports[i] & supports[j]]
+        top = max((sum(lcm) for _, lcm in lcms), default=0)
         if top > pk.cap:  # every term met while reducing this pair has degree <= top
             old, pk = pk, _Packing(nvars, top)
             G[:] = [(pk.pack(old.unpack(lead)), [(pk.pack(old.unpack(m)), c) for m, c in tail]) for lead, tail in G]
             heap[:] = [(pk.pack(old.unpack(lcm)), i, k) for lcm, i, k in heap]  # same order: still a heap
             std = {pk.pack(old.unpack(m)) for m in std}
-        for i, lcm in enumerate(lcms):
+        for i, lcm in lcms:
             heappush(heap, (pk.pack(lcm), i, j))
             pending.add((i, j))
 
-    for j in range(1, len(G)):
+    for j in range(len(G)):
         add_pairs(j)
     while heap:
         lcm, i, j = heappop(heap)
@@ -413,8 +416,6 @@ def _buchberger(gens, p: int, nvars: int, certified, predict=None):
                 return G, pk
             if not excess:
                 continue  # when I is m-primary, the leads of degree d are all found
-        if lcm == G[i][0] + G[j][0]:  # no carry: each field of the sum is at most 2 * cap < 2^width
-            continue  # coprime leads: S-polynomial reduces to zero
         guard = pk.guard
         top = lcm | guard
         if any(

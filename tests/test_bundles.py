@@ -125,17 +125,46 @@ def test_verify_bundle_zero_block_failures():
 
 
 def test_verify_bundle_bounds_its_minors(monkeypatch):
-    # the counterexample's C(5, 1) = 5 minors, at and past the bound, and a
-    # 5 x 1 matrix over P^5, which takes no minor (r < n), past it
+    # the counterexample's C(5, 1) = 5 minors, at and past the bound; a
+    # 5 x 1 matrix over P^5 (r < n) takes no minor, so the bound is not met
     m = PresMatrix.from_json({
         "n": 3, "p": P, "a": [2], "b": [0, 0, 0, 1, 1], "entries": [["x0^2"], ["0"], ["0"], ["x3"], ["0"]],
     })
     monkeypatch.setattr(bundles, "MAX_MINORS", 5)
     assert verify_bundle(m) is False
     monkeypatch.setattr(bundles, "MAX_MINORS", 4)
-    for m in (m, PresMatrix(BettiPair(5, [1], [0] * 5), P, [[Poly.zero(P, 6)]] * 5)):
-        with pytest.raises(BadInput, match="4"):
-            verify_bundle(m)
+    with pytest.raises(BadInput, match="4"):
+        verify_bundle(m)
+    assert verify_bundle(PresMatrix(BettiPair(5, [1], [0] * 5), P, [[Poly.zero(P, 6)]] * 5)) is False
+
+
+def test_verify_bundle_bounds_the_minors_of_the_minimal_part(monkeypatch):
+    # the counterexample plus a unit summand: C(6, 2) = 15 minors of the
+    # whole matrix, C(5, 1) = 5 of its minimal part
+    zero, one = Poly.zero(P, 4), Poly.const(1, P, 4)
+    column = [Poly.variable(0, P, 4, 2), zero, zero, Poly.variable(3, P, 4), zero]
+    m = PresMatrix(BettiPair(3, [1, 2], [0, 0, 0, 1, 1, 1]), P, [[zero, e] for e in column] + [[one, zero]])
+    monkeypatch.setattr(bundles, "MAX_MINORS", 5)
+    assert verify_bundle(m) is False
+
+
+def test_is_minimal_reads_the_entry_degrees():
+    # the definition: no nonzero entry of degree 0
+    rng = random.Random(22)
+    verdicts = set()
+    for _ in range(200):
+        n, l, r = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
+        pair = BettiPair(n, [rng.randint(0, 2) for _ in range(l)], [rng.randint(0, 2) for _ in range(l + r)])
+        rows = [
+            [Poly(P, n + 1, {e: rng.randrange(P) for e in monomials(n + 1, aj - bi)} if rng.random() < 0.4 else {})
+             for aj in pair.a]
+            for bi in pair.b
+        ]
+        m = PresMatrix(pair, P, rows)
+        want = all(not e or e.degree() > 0 for row in m.rows for e in row)
+        assert m.is_minimal is want
+        verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def test_verify_no_columns_is_trivially_true():

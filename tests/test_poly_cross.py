@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 sympy = pytest.importorskip("sympy")
 
 from pnbundles.betti import BettiPair
-from pnbundles.bundles import random_minimal_map, verify_bundle
-from pnbundles.poly import Ideal, Poly, groebner_basis, maximal_minors, normal_form
+from pnbundles.bundles import PresMatrix, minimize_presentation, random_minimal_map, verify_bundle
+from pnbundles.errors import NotABundle
+from pnbundles.poly import Ideal, Poly, groebner_basis, maximal_minors, monomials, normal_form
 
 PRIMES = (7, 101, 32003)
 
@@ -130,3 +131,54 @@ def small_minimal_maps(draw):
 @given(small_minimal_maps())
 def test_verify_bundle_agrees_with_sympy(m):
     assert verify_bundle(m) is sympy_m_primary(m)
+
+
+def disguised_unit_summands(rng, p=32003):
+    """A random minimal map with r = n + 1, plus one or two unit summands,
+    disguised by random graded row and column operations."""
+    n = rng.randint(1, 2)
+    a = [rng.randint(1, 2)]
+    b = sorted(rng.randint(0, 1) for _ in range(n + 2))
+    phi = random_minimal_map(BettiPair(n, a, b), p, rng.getrandbits(32))
+    common = [rng.randint(0, 2) for _ in range(rng.randint(1, 2))]
+    # phi in the first rows and columns, the identity on the common twists after them, then sorted by twist
+    twists_b, twists_a = b + common, a + common
+    block = [list(row) + [Poly.zero(p, n + 1)] * len(common) for row in phi.rows]
+    block += [[Poly.const(int(j == len(a) + k), p, n + 1) for j in range(len(twists_a))] for k in range(len(common))]
+    rs = sorted(range(len(twists_b)), key=twists_b.__getitem__)
+    cs = sorted(range(len(twists_a)), key=twists_a.__getitem__)
+    rows = [[block[i][j] for j in cs] for i in rs]
+    bs, as_ = sorted(twists_b), sorted(twists_a)
+
+    def form(d):
+        return Poly(p, n + 1, {e: rng.randrange(p) for e in monomials(n + 1, d)})
+
+    for _ in range(4):  # row i += f * row k with deg f = b_k - b_i, then col j += g * col k with deg g = a_j - a_k
+        i, k = rng.sample(range(len(bs)), 2)
+        if bs[k] >= bs[i]:
+            f = form(bs[k] - bs[i])
+            rows[i] = [e + f * ek for e, ek in zip(rows[i], rows[k])]
+        if len(as_) > 1:
+            j, k = rng.sample(range(len(as_)), 2)
+            if as_[j] >= as_[k]:
+                g = form(as_[j] - as_[k])
+                for row in rows:
+                    row[j] = row[j] + g * row[k]
+    return PresMatrix(BettiPair(n, as_, bs), p, rows), phi
+
+
+def test_non_minimal_verdicts_match_sympy():
+    rng = random.Random(22)
+    verdicts = []
+    for _ in range(12):
+        m, phi = disguised_unit_summands(rng)
+        want = sympy_m_primary(m)
+        assert not m.is_minimal
+        assert verify_bundle(m) is verify_bundle(phi) is want, m.to_json()
+        if want:
+            assert minimize_presentation(m)[0] == phi.pair
+        else:
+            with pytest.raises(NotABundle):
+                minimize_presentation(m)
+        verdicts.append(want)
+    assert True in verdicts and False in verdicts

@@ -137,10 +137,11 @@ def record_caps(monkeypatch) -> list:
 
 def test_packing_widens_while_pairs_are_pending(monkeypatch):
     # the generators and their pairs' lcms, of degree up to 6, pack with
-    # cap 7; the sixth basis element needs cap 15, and six pairs wait on the
-    # heap then
+    # cap 7; a later basis element makes a pair of degree 8 with a lead that
+    # shares a variable with its own, so it needs cap 15, and seven pairs
+    # wait on the heap then
     caps = record_caps(monkeypatch)
-    gens = [parse_poly(g, 32003, 3) for g in ["x0^3 - x1*x2^2", "x1^3 - x0^2*x2", "x0*x1 - x2^2"]]
+    gens = [parse_poly(g, 32003, 3) for g in ["x1^3 - x0^2*x1", "x2^3 - x0*x1^2", "x0^3 - x0*x1*x2"]]
     basis = groebner_basis(gens)
     assert caps == [7, 15]
     assert [format_poly(g) for g in basis] == [format_poly(g) for g in tuple_groebner_basis(gens)]

@@ -1,12 +1,13 @@
 """The bundle test's exits that read the twists: the Eagon-Northcott Hilbert
-function that drives the Buchberger loop when r = n, the constant-minor exit
-when r < n, and the bound that keeps both off large inputs.
+function that drives the Buchberger loop when r = n, the exit without a
+minor when r < n, and the bound that keeps the prediction off large inputs.
 
 Every verdict is checked against ``_oracles.full_basis_m_primary``, which
 reads the leads of the whole reduced basis, and some against sympy.
 """
 
 import random
+import time
 from itertools import combinations_with_replacement
 
 import pytest
@@ -164,20 +165,35 @@ def test_r_below_n_without_a_degree_zero_minor_takes_no_minor(monkeypatch):
     assert verify_bundle(m) is False
 
 
-def test_large_n_takes_the_plain_path(monkeypatch):
-    # top = 62 over P^60: the top degree has C(122, 60) monomials
-    n = 60
+def squares_and_a_product(n):
+    """The r = n column x_0^2, ..., x_(n-1)^2, x_0*x_n over P^n, which
+    vanishes at the point x_n = 1."""
     rows = [[Poly.variable(i, P, n + 1, 2)] for i in range(n)]
     rows.append([Poly(P, n + 1, {(1,) + (0,) * (n - 1) + (1,): 1})])
-    m = PresMatrix(BettiPair(n, (2,), (0,) * (n + 1)), P, rows)
+    return PresMatrix(BettiPair(n, (2,), (0,) * (n + 1)), P, rows)
+
+
+def test_large_n_takes_the_plain_path(monkeypatch):
+    # top = 62 over P^60: the top degree has C(122, 60) monomials
     monkeypatch.setattr(bundles, "_hilbert_prediction", refuse)
+    assert verify_bundle(squares_and_a_product(60)) is False
+
+
+def test_large_n_costs_what_the_support_costs():
+    # only x_0^2 and x_0*x_n share a variable, so one pair of the n(n+1)/2 is
+    # made; making the coprime ones too takes minutes
+    m = squares_and_a_product(bundles.MAX_N)
+    start = time.perf_counter()
     assert verify_bundle(m) is False
+    assert time.perf_counter() - start < 10
 
 
 def test_no_prediction_when_a_generator_certifies(monkeypatch):
-    # a constant minor: the leads of the generators decide at once
+    # two units split off every column; the minors x0, x1, x2 of a minimal
+    # column are pure powers of every variable, so their leads decide at once
     one, zero = Poly.const(1, P, 3), Poly.zero(P, 3)
     x = [Poly.variable(i, P, 3) for i in range(3)]
     m = PresMatrix(BettiPair(2, (1, 1), (0, 0, 1, 1)), P, [x[:2], x[1:], [one, zero], [zero, one]])
     monkeypatch.setattr(bundles, "_hilbert_prediction", refuse)
     assert verify_bundle(m) is True
+    assert verify_bundle(explicit_matrix(BettiPair(2, (1,), (0, 0, 0)), P)) is True
