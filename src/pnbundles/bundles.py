@@ -74,7 +74,7 @@ class PresMatrix(Frozen):
                     raise ModulusMismatch(f"entry ({i},{j}) lives in the wrong ring")
                 if entry:
                     want = pair.a.entries[j] - pair.b.entries[i]
-                    if entry.homogeneous_degree() != want:
+                    if not entry.is_homogeneous() or entry.degree() != want:
                         raise ValueError(
                             f"entry ({i},{j}) must be homogeneous of degree {want}"
                         )
@@ -245,10 +245,11 @@ def verify_bundle(m: PresMatrix) -> bool:
     is read off the minimal presentation: true when that has no columns, and
     else every minor lies in the irrelevant ideal and I has height at most
     r + 1 (Eagon-Northcott), so false when r < n.  For r >= n, BadInput is
-    raised past MAX_MINORS maximal minors, before any is taken.  For r = n,
-    when degree top has at most MAX_MONOMIALS monomials, the Buchberger loop
-    stops as soon as its leads leave no standard monomial or miss the Hilbert
-    function R/I has if it is a bundle.
+    raised past MAX_MINORS maximal minors, before any is taken.  Every minor
+    goes to the Buchberger loop as it is, zero or repeated too: each joins
+    reduced by the elements before it.  For r = n, when degree top has at most
+    MAX_MONOMIALS monomials, the loop stops as soon as its leads leave no
+    standard monomial or miss the Hilbert function R/I has if it is a bundle.
     """
     pair, rows = _split_units(m)
     l, n = pair.l, pair.n
@@ -258,10 +259,9 @@ def verify_bundle(m: PresMatrix) -> bool:
         return False
     if comb(l + pair.r, l) > MAX_MINORS:
         raise BadInput(f"the minimal presentation has more than {MAX_MINORS} maximal minors")
-    distinct = dict.fromkeys(f for f in maximal_minors(rows, l) if f)
     top = pair.a.total() + n * pair.a[-1] - pair.b.total() - n  # a bundle's R/I vanishes from degree top on
     few = pair.r == n and 0 <= top <= MAX_MONOMIALS and comb(top + n, n) <= MAX_MONOMIALS
-    return _m_primary(list(distinct), m.p, n + 1, (lambda: _hilbert_prediction(pair, top)) if few else None)
+    return _m_primary(maximal_minors(rows, l), m.p, n + 1, (lambda: _hilbert_prediction(pair, top)) if few else None)
 
 
 def _hilbert_prediction(pair: BettiPair, top: int) -> dict[int, int]:

@@ -37,10 +37,6 @@ def grevlex_key(exps: tuple[int, ...]):
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
-def _lcm(e: tuple[int, ...], f: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(max(a, b) for a, b in zip(e, f))
-
-
 def monomials(nvars: int, degree: int):
     """All exponent tuples of the given total degree, deterministic order."""
     if degree < 0:
@@ -360,33 +356,36 @@ def _spoly_work(f, g, lcm: int, p: int) -> tuple[dict, list]:
 
 
 def _buchberger(gens, p: int, nvars: int, certified, predict=None):
-    """Buchberger's algorithm with normal pair selection (smallest lcm first,
-    ties by index) and both classical pair-elimination criteria: the records
-    and packing of a Groebner basis of the nonzero generators, or None once
-    ``certified`` holds for the lead exponents of a generator or new element.
+    """Buchberger's algorithm with normal selection (smallest lcm first, ties
+    by index) and both classical pair-elimination criteria: the records and
+    packing of a Groebner basis of the generators, or None once ``certified``
+    holds for the lead exponents of a generator or new element.  After the
+    generators' leads are checked, generator k waits on the heap as (packed
+    lead, -1, k) and joins as a remainder does, reduced by the basis so far.
 
     ``predict``, called only when no generator is certified, gives the
     Hilbert function {t: h(t)}, zero elsewhere, that R/I has if I is
     m-primary.  The loop then keeps the standard monomials of the degree t
-    of its pairs.  It returns None once none is left, skips the rest of
-    degree t's pairs once they number h(t), and returns the records found so
+    of its entries.  It returns None once none is left, skips the rest of
+    degree t's entries once they number h(t), and returns the records found so
     far once they fall below h(t), end degree t above it, or the heap empties.
     """
-    pk = _Packing(nvars, 2 * max(g.degree() for g in gens))  # room for the lcm of any two generators
-    G = [_record(pk.pack_terms(g.terms), p) for g in gens]
-    leads = [pk.unpack(lead) for lead, _ in G]
-    if any(map(certified, leads)):
+    # Room for 2D, D the generators' top degree: while generator k waits, every entry taken is below k's lead, so it
+    # and its remainder have degree <= D and each lcm <= 2D.  So each generator packed here stays valid until taken.
+    pk = _Packing(nvars, 2 * max([0, *map(Poly.degree, gens)]))
+    inputs = [pk.pack_terms(g.terms) for g in gens]
+    heap = sorted((max(work), -1, k) for k, work in enumerate(inputs) if work)  # sorted, so a heap
+    if any(certified(pk.unpack(lead)) for lead, _, _ in heap):
         return None
     hilbert = predict() if predict else None
-    heap, pending = [], set()  # pending: the (i, j) of the heap's entries
+    G, leads, supports, pending = [], [], [], set()  # pending: the (i, j) of the heap's pairs
     std, deg = {0}, 0  # the standard monomials of degree deg, packed: 0 packs 1
-    supports = []  # the variables of each lead, as a bitmask
 
     def add_pairs(j: int) -> None:
         nonlocal pk, std
-        supports.append(sum(1 << k for k, e in enumerate(leads[j]) if e))
+        supports.append(sum(1 << k for k, e in enumerate(leads[j]) if e))  # its variables, as a bitmask
         # coprime leads make no pair, which the chain criterion counts as treated: its S-polynomial reduces to zero
-        lcms = [(i, _lcm(leads[i], leads[j])) for i in range(j) if supports[i] & supports[j]]
+        lcms = [(i, tuple(map(max, leads[i], leads[j]))) for i in range(j) if supports[i] & supports[j]]
         top = max((sum(lcm) for _, lcm in lcms), default=0)
         if top > pk.cap:  # every term met while reducing this pair has degree <= top
             old, pk = pk, _Packing(nvars, top)
@@ -397,13 +396,11 @@ def _buchberger(gens, p: int, nvars: int, certified, predict=None):
             heappush(heap, (pk.pack(lcm), i, j))
             pending.add((i, j))
 
-    for j in range(len(G)):
-        add_pairs(j)
     while heap:
         lcm, i, j = heappop(heap)
         pending.discard((i, j))
         if hilbert is not None:
-            d = sum(map(max, leads[i], leads[j]))  # no later pair has a lower degree, nor a new lead
+            d = sum(pk.unpack(lcm))  # no later entry has a lower degree, nor a new lead
             while deg < d and len(std) == hilbert.get(deg, 0):  # degree deg ended as predicted
                 # m is standard iff it is no lead and m / x_i is standard for each x_i dividing m
                 deg, known, xs = deg + 1, {g for g, _ in G}, list(zip(pk._vars, pk._shifts))
@@ -418,13 +415,13 @@ def _buchberger(gens, p: int, nvars: int, certified, predict=None):
                 continue  # when I is m-primary, the leads of degree d are all found
         guard = pk.guard
         top = lcm | guard
-        if any(
+        if i >= 0 and any(
             (top - G[k][0]) & guard == guard and k not in (i, j)
             and (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending
             for k in range(len(G))
         ):
             continue  # chain criterion
-        work, keys = _spoly_work(G[i], G[j], lcm, p)
+        work, keys = _spoly_work(G[i], G[j], lcm, p) if i >= 0 else (inputs[j], None)
         r = _reduce(work, G, p, guard, keys)
         if r:
             G.append(_record(r, p))
@@ -437,9 +434,9 @@ def _buchberger(gens, p: int, nvars: int, certified, predict=None):
 
 
 def groebner_basis(gens) -> list[Poly]:
-    """The reduced Groebner basis under grevlex, sorted by descending lead.
-    It is unique, so the output does not depend on generator order."""
-    gens = [g for g in gens if g]
+    """The reduced Groebner basis under grevlex, sorted by descending lead.  It is
+    unique, so neither generator order nor zero or repeated generators change it."""
+    gens = list(gens)
     if not gens:
         return []
     for g in gens:
@@ -492,18 +489,18 @@ class Ideal(Frozen):
 
         For a homogeneous ideal this holds iff some element of the ideal has
         a constant lead, or each variable has a pure power as a lead.  The
-        Buchberger loop stops at the first such certificate; only False needs
-        the whole basis.  The test is insensitive to field extension, so it
-        certifies the answer over the algebraic closure as well.
+        Buchberger loop stops at the first such certificate, and only False
+        needs the whole basis; a zero or repeated generator adds nothing to
+        it.  The test is insensitive to field extension, so the answer holds
+        over the algebraic closure as well.
         """
-        for g in self.gens:
-            if g and not g.is_homogeneous():
-                raise ValueError("is_m_primary_or_unit needs homogeneous generators")
-        return _m_primary([g for g in self.gens if g], self.p, self.nvars)
+        if not all(g.is_homogeneous() for g in self.gens):
+            raise ValueError("is_m_primary_or_unit needs homogeneous generators")
+        return _m_primary(self.gens, self.p, self.nvars)
 
 
 def _m_primary(gens, p: int, nvars: int, predict=None) -> bool:
-    """``is_m_primary_or_unit`` on nonzero homogeneous generators; a missed ``predict`` means False."""
+    """``is_m_primary_or_unit`` on homogeneous generators, zero or repeated too; a missed ``predict`` means False."""
     missing = set(range(nvars))
 
     def certified(lead: tuple[int, ...]) -> bool:
@@ -512,7 +509,7 @@ def _m_primary(gens, p: int, nvars: int, predict=None) -> bool:
             missing.discard(support[0])
         return not support or not missing  # a constant: the unit ideal
 
-    return bool(gens) and _buchberger(gens, p, nvars, certified, predict) is None
+    return _buchberger(gens, p, nvars, certified, predict) is None
 
 
 def maximal_minors(matrix, size: int) -> list[Poly]:

@@ -369,6 +369,15 @@ def test_check_malformed_polynomial(entry, tmp_path, capsys):
     assert_bad_input(*run_cli(["check", str(path)], capsys))
 
 
+def test_check_names_a_non_homogeneous_entry(tmp_path, capsys):
+    # a nonzero entry of mixed degree is refused by its position, not as "zero or not homogeneous"
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 1, "p": 7, "a": [1], "b": [0, 0], "entries": [["x0"], ["x1 + 1"]]}))
+    code, out, err = run_cli(["check", str(path)], capsys)
+    assert_bad_input(code, out, err)
+    assert json.loads(err)["detail"] == "entry (1,0) must be homogeneous of degree 1"
+
+
 def test_huge_modulus_rejected_on_every_path(tmp_path, capsys, monkeypatch):
     # trial division up to sqrt(p) would run for minutes on this prime
     huge = "1000000000000000003"

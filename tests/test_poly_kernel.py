@@ -122,6 +122,33 @@ def test_m_primary_test_matches_full_basis_scan_on_random_ideals(ideal):
     assert ideal.is_m_primary_or_unit() is full_basis_m_primary(ideal.gens, ideal.nvars)
 
 
+def with_redundant_generators(f, g, *rest):
+    """f, g and the rest, with a zero, f again and 2f + 5g among them."""
+    zero = Poly.zero(f.p, f.nvars)
+    return [f, zero, g, f, f.scale(2) + g.scale(5), *rest]
+
+
+def three_vars(*texts):
+    return [parse_poly(t, 32003, 3) for t in texts]
+
+
+@pytest.mark.parametrize("gens,want", [
+    (with_redundant_generators(*three_vars("x0^2 + x1*x2", "x1^2 - x0*x2", "x2^2 + 3*x0*x1")), True),
+    (with_redundant_generators(*three_vars("x0*x1 + x0*x2", "x0^2 - 2*x0*x2", "x0*x2^2")), False),  # all vanish on x0 = 0
+    (three_vars("0", "0"), False),
+], ids=["m-primary", "not-m-primary", "all-zero"])
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
+def test_zero_repeated_and_dependent_generators_join_as_they_come(gens, want, order):
+    # each generator joins reduced by the elements before it, so none of
+    # these needs filtering: a zero, a repeat or a combination joins nothing
+    gens = gens[::order]
+    basis = groebner_basis(gens)
+    assert [format_poly(g) for g in basis] == [format_poly(g) for g in tuple_groebner_basis(gens)]
+    assert Ideal(gens).is_m_primary_or_unit() is want is full_basis_m_primary(gens, 3)
+    if not any(gens):
+        assert basis == []
+
+
 def record_caps(monkeypatch) -> list:
     """The cap of every packing made from now on, in order."""
     caps = []

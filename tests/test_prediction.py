@@ -188,6 +188,18 @@ def test_large_n_costs_what_the_support_costs():
     assert time.perf_counter() - start < 10
 
 
+def test_dependent_minors_reduce_to_zero_as_they_join():
+    # 6,435 minors, all binary septics: a space of dimension 8, so all but a
+    # few reduce to zero by the elements before them instead of making pairs
+    m = random_minimal_map(BettiPair(1, [1] * 7, [0] * 15), P, 1)
+    start = time.perf_counter()
+    assert verify_bundle(m) is True
+    assert time.perf_counter() - start < 10
+    # the minors of rows 0-6 and 8-14 generate an m-primary ideal J; I contains J, so I is m-primary too
+    some = [maximal_minors(m.rows[k : k + 7], 7)[0] for k in (0, 8)]
+    assert full_basis_m_primary(some, 2) is True
+
+
 def test_no_prediction_when_a_generator_certifies(monkeypatch):
     # two units split off every column; the minors x0, x1, x2 of a minimal
     # column are pure powers of every variable, so their leads decide at once
