@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .errors import BadInput, EmptyPair
+from .errors import BadInput
 from .seqs import Frozen, IntSeq, is_sub_multiset, json_int, seq_diff, seq_min, seq_sum
 
 
@@ -59,8 +59,6 @@ class BettiPair(Frozen):
 
     def regularity(self) -> int:
         """max(b_last, a_last - 1); just b_last when a is empty."""
-        if not self.b:
-            raise EmptyPair("regularity of an empty pair is undefined")
         if not self.a:
             return self.b.entries[-1]
         return max(self.b.entries[-1], self.a.entries[-1] - 1)

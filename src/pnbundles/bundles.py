@@ -28,16 +28,16 @@ from .errors import (
     NotGeneralization,
     ShapeError,
 )
-from .poly import Poly, _m_primary, check_prime, format_poly, maximal_minors, monomials, parse_poly
+from .poly import Poly, _buchberger, check_prime, format_poly, maximal_minors, monomials, parse_poly
 from .seqs import Frozen, IntSeq, json_int
 
 # random_minimal_map draws one coefficient for every monomial of every entry;
 # 10^5 of them take about a second to draw and print
 MAX_MONOMIALS = 10**5
 
-# verify_bundle takes one maximal minor of the minimal presentation for each
-# choice of l rows among l + r, when r >= n; the 92,378 zero minors of a
-# 19 x 9 zero matrix take about half a second
+# verify_bundle's cofactor expansion keeps one subdeterminant for each set of
+# k rows among l + r, k = l down to where it meets a zero column, when r >= n;
+# the 92,378 zero minors of a 19 x 9 zero matrix take about half a second
 MAX_MINORS = 10**5
 
 # The largest n of a matrix that `check` reads or `present` prints: packing one
@@ -245,11 +245,12 @@ def verify_bundle(m: PresMatrix) -> bool:
     is read off the minimal presentation: true when that has no columns, and
     else every minor lies in the irrelevant ideal and I has height at most
     r + 1 (Eagon-Northcott), so false when r < n.  For r >= n, BadInput is
-    raised past MAX_MINORS maximal minors, before any is taken.  Every minor
-    goes to the Buchberger loop as it is, zero or repeated too: each joins
-    reduced by the elements before it.  For r = n, when degree top has at most
-    MAX_MONOMIALS monomials, the loop stops as soon as its leads leave no
-    standard monomial or miss the Hilbert function R/I has if it is a bundle.
+    raised, before any minor is taken, when the cofactor expansion would keep
+    more than MAX_MINORS subdeterminants.  Every minor goes to the Buchberger
+    loop as it is, zero or repeated too: each joins reduced by the elements
+    before it, and the loop's certificate gives every true.  For r = n, when
+    degree top has at most MAX_MONOMIALS monomials, it answers false as soon
+    as its leads miss the Hilbert function R/I has if it is a bundle.
     """
     pair, rows = _split_units(m)
     l, n = pair.l, pair.n
@@ -257,11 +258,13 @@ def verify_bundle(m: PresMatrix) -> bool:
         return True
     if pair.r < n:  # every minor lies in the irrelevant ideal, and their ideal has height <= r + 1 <= n
         return False
-    if comb(l + pair.r, l) > MAX_MINORS:
-        raise BadInput(f"the minimal presentation has more than {MAX_MINORS} maximal minors")
+    z = next((j for j in range(l) if not any(row[j] for row in rows)), l)  # the expansion stops at column z
+    if sum(comb(l + pair.r, k) for k in range(max(1, l - z), l + 1)) > MAX_MINORS:
+        raise BadInput(f"the minimal presentation has more than {MAX_MINORS} subdeterminants to expand")
     top = pair.a.total() + n * pair.a[-1] - pair.b.total() - n  # a bundle's R/I vanishes from degree top on
     few = pair.r == n and 0 <= top <= MAX_MONOMIALS and comb(top + n, n) <= MAX_MONOMIALS
-    return _m_primary(maximal_minors(rows, l), m.p, n + 1, (lambda: _hilbert_prediction(pair, top)) if few else None)
+    predict = (lambda: _hilbert_prediction(pair, top)) if few else None
+    return _buchberger(maximal_minors(rows, l), m.p, n + 1, True, predict) is None
 
 
 def _hilbert_prediction(pair: BettiPair, top: int) -> dict[int, int]:

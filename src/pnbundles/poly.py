@@ -355,19 +355,18 @@ def _spoly_work(f, g, lcm: int, p: int) -> tuple[dict, list]:
     return work, keys
 
 
-def _buchberger(gens, p: int, nvars: int, certified, predict=None):
+def _buchberger(gens, p: int, nvars: int, certify: bool, predict=None):
     """Buchberger's algorithm with normal selection (smallest lcm first, ties
     by index) and both classical pair-elimination criteria: the records and
-    packing of a Groebner basis of the generators, or None once ``certified``
-    holds for the lead exponents of a generator or new element.  After the
-    generators' leads are checked, generator k waits on the heap as (packed
-    lead, -1, k) and joins as a remainder does, reduced by the basis so far.
+    packing of a Groebner basis of the generators, or with ``certify`` None
+    once the leads of the generators and new elements hold a constant or a
+    pure power of every variable.  Generator k then waits on the heap as
+    (packed lead, -1, k) and joins as a remainder does, reduced by the basis.
 
-    ``predict``, called only when no generator is certified, gives the
-    Hilbert function {t: h(t)}, zero elsewhere, that R/I has if I is
-    m-primary.  The loop then keeps the standard monomials of the degree t
-    of its entries.  It returns None once none is left, skips the rest of
-    degree t's entries once they number h(t), and returns the records found so
+    ``predict``, called only when no generator certifies, gives the Hilbert
+    function {t: h(t)}, zero elsewhere, that R/I has if I is m-primary.  The
+    loop keeps the standard monomials of each entry's degree t, skips the rest
+    of degree t's entries once they number h(t), and returns the records so
     far once they fall below h(t), end degree t above it, or the heap empties.
     """
     # Room for 2D, D the generators' top degree: while generator k waits, every entry taken is below k's lead, so it
@@ -375,7 +374,19 @@ def _buchberger(gens, p: int, nvars: int, certified, predict=None):
     pk = _Packing(nvars, 2 * max([0, *map(Poly.degree, gens)]))
     inputs = [pk.pack_terms(g.terms) for g in gens]
     heap = sorted((max(work), -1, k) for k, work in enumerate(inputs) if work)  # sorted, so a heap
-    if any(certified(pk.unpack(lead)) for lead, _, _ in heap):
+    full, powers = (1 << nvars) - 1, 0  # the variables with a pure-power lead; all of them once a lead is 1
+
+    def read_lead(lead: int) -> tuple:
+        """A lead's exponents and its variables as a bitmask, which joins powers if it has at most one bit."""
+        nonlocal powers
+        exps = pk.unpack(lead)
+        support = sum(1 << k for k, e in enumerate(exps) if e)
+        if not support & (support - 1):
+            powers |= support or full
+        return exps, support
+
+    firsts = {k: read_lead(lead) for lead, _, k in heap}  # generator k's lead, reused if it joins with it
+    if certify and powers == full:
         return None
     hilbert = predict() if predict else None
     G, leads, supports, pending = [], [], [], set()  # pending: the (i, j) of the heap's pairs
@@ -383,7 +394,6 @@ def _buchberger(gens, p: int, nvars: int, certified, predict=None):
 
     def add_pairs(j: int) -> None:
         nonlocal pk, std
-        supports.append(sum(1 << k for k, e in enumerate(leads[j]) if e))  # its variables, as a bitmask
         # coprime leads make no pair, which the chain criterion counts as treated: its S-polynomial reduces to zero
         lcms = [(i, tuple(map(max, leads[i], leads[j]))) for i in range(j) if supports[i] & supports[j]]
         top = max((sum(lcm) for _, lcm in lcms), default=0)
@@ -406,8 +416,6 @@ def _buchberger(gens, p: int, nvars: int, certified, predict=None):
                 deg, known, xs = deg + 1, {g for g, _ in G}, list(zip(pk._vars, pk._shifts))
                 std = {m for m in {s + x for s in std for x, _ in xs}
                        if m not in known and all(m - x in std for x, sh in xs if m >> sh & pk.cap)}
-            if not std:
-                return None  # every monomial of degree deg is a lead
             excess = len(std) - hilbert.get(deg, 0)
             if excess < 0 or deg < d:  # short, or degree deg ended above h
                 return G, pk
@@ -425,9 +433,11 @@ def _buchberger(gens, p: int, nvars: int, certified, predict=None):
         r = _reduce(work, G, p, guard, keys)
         if r:
             G.append(_record(r, p))
-            leads.append(pk.unpack(G[-1][0]))
-            if certified(leads[-1]):
+            lead, support = firsts[j] if i < 0 and G[-1][0] == lcm else read_lead(G[-1][0])
+            if certify and powers == full:
                 return None
+            leads.append(lead)
+            supports.append(support)
             std.discard(G[-1][0])
             add_pairs(len(G) - 1)
     return G, pk
@@ -442,7 +452,7 @@ def groebner_basis(gens) -> list[Poly]:
     for g in gens:
         gens[0]._compat(g)
     p, nvars = gens[0].p, gens[0].nvars
-    G, pk = _buchberger(gens, p, nvars, lambda lead: False)
+    G, pk = _buchberger(gens, p, nvars, False)
     return _interreduce(G, p, nvars, pk)
 
 
@@ -488,28 +498,15 @@ class Ideal(Frozen):
         """True iff the ideal is the unit ideal or cuts out only the origin.
 
         For a homogeneous ideal this holds iff some element of the ideal has
-        a constant lead, or each variable has a pure power as a lead.  The
-        Buchberger loop stops at the first such certificate, and only False
-        needs the whole basis; a zero or repeated generator adds nothing to
-        it.  The test is insensitive to field extension, so the answer holds
-        over the algebraic closure as well.
+        a constant lead, or each variable has a pure power as a lead
+        (finiteness theorem).  The Buchberger loop returns None at the first
+        such certificate, and only False needs the whole basis; a zero or
+        repeated generator adds nothing to it.  The test is insensitive to
+        field extension, so the answer holds over the algebraic closure.
         """
         if not all(g.is_homogeneous() for g in self.gens):
             raise ValueError("is_m_primary_or_unit needs homogeneous generators")
-        return _m_primary(self.gens, self.p, self.nvars)
-
-
-def _m_primary(gens, p: int, nvars: int, predict=None) -> bool:
-    """``is_m_primary_or_unit`` on homogeneous generators, zero or repeated too; a missed ``predict`` means False."""
-    missing = set(range(nvars))
-
-    def certified(lead: tuple[int, ...]) -> bool:
-        support = [i for i, e in enumerate(lead) if e]
-        if len(support) == 1:
-            missing.discard(support[0])
-        return not support or not missing  # a constant: the unit ideal
-
-    return _buchberger(gens, p, nvars, certified, predict) is None
+        return _buchberger(self.gens, self.p, self.nvars, True) is None
 
 
 def maximal_minors(matrix, size: int) -> list[Poly]:

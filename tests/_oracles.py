@@ -8,6 +8,7 @@ Groebner engine's earlier kernel on exponent tuples.
 
 import heapq
 from itertools import combinations, combinations_with_replacement, permutations
+from math import comb
 
 
 def fp_rank(rows, p):
@@ -205,6 +206,23 @@ def summed_hilbert_value(h, t):
             acc += v
             window[i] = acc
     return window[-1]
+
+
+def stratum_dimension(pair):
+    """The dimension of the stratum of minimal maps of the pair, restated
+    from the twists: the forms of all entries of positive degree, less the
+    automorphisms of F0 = sum O(b_i) and of F1 = sum O(a_j), each a block of
+    forms of degree b_k - b_i >= 0 or a_j - a_m >= 0."""
+    n, a, b = pair.n, pair.a.entries, pair.b.entries
+
+    def forms(degrees):
+        return sum(comb(e + n, n) for e in degrees)
+
+    return (
+        forms(aj - bi for aj in a for bi in b if aj > bi)
+        - forms(bk - bi for bk in b for bi in b if bk >= bi)
+        - forms(aj - am for aj in a for am in a if aj >= am)
+    )
 
 
 def brute_force_bundle_sequences(n, r, degree):

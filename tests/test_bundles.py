@@ -1,6 +1,7 @@
 """Presentation matrices: construction, verification, minimization, families."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from pnbundles.bundles import (
 from pnbundles.errors import (
     BadInput,
     EmptyA,
+    ModulusMismatch,
     NotABundle,
     NotAdmissible,
     NotGeneralization,
@@ -465,3 +467,26 @@ def test_low_rank_minimal_matrices_never_verify():
     for seed in range(3):
         m = random_minimal_map(pair, P, seed)
         assert verify_bundle(m) is False
+
+
+@pytest.mark.parametrize("entry,error,message", [
+    pytest.param("x1", ValueError, "entry (1,0) is not a polynomial", id="str-entry"),
+    pytest.param(Poly.variable(1, P, 3), ModulusMismatch, "entry (1,0) lives in the wrong ring", id="ring"),
+])
+def test_pres_matrix_refusals(entry, error, message):
+    with pytest.raises(error) as info:
+        PresMatrix(BettiPair(1, [1], [0, 0]), P, [[Poly.variable(0, P, 2)], [entry]])
+    assert info.type is error and str(info.value) == message
+
+
+def test_verify_bundle_bounds_the_cofactor_expansion(monkeypatch):
+    # linear forms over P^1 fill every column, so the expansion keeps the
+    # subdeterminants of every size from 1 to l: 2^17 - 2 for 17 x 16 and
+    # 2^18 - 1 for 19 x 9, where the minors are only 17 and 92,378
+    monkeypatch.setattr(bundles, "maximal_minors", lambda *args: pytest.fail("a minor was taken"))
+    for l, r in ((16, 1), (9, 10)):
+        m = random_minimal_map(BettiPair(1, [1] * l, [0] * (l + r)), P, 1)
+        start = time.perf_counter()
+        with pytest.raises(BadInput, match=str(bundles.MAX_MINORS)):
+            verify_bundle(m)
+        assert time.perf_counter() - start < 1

@@ -223,3 +223,16 @@ def test_values_match_per_t_sums(n):
                     want = [summed_hilbert_value(h, t) for t in range(lo, hi + 1)]
                     assert h.values(lo, hi) == want, (h, lo, hi)
                 assert h.value(lo) == summed_hilbert_value(h, lo)
+
+
+@pytest.mark.parametrize("make,error,message", [
+    pytest.param(lambda: BundleSeq(0, [1]), ValueError, "ambient dimension must be a positive integer, got 0",
+                 id="dimension"),
+    pytest.param(lambda: HilbertFn(3, 0.5, [1]), ValueError, "anchor must be an integer, got 0.5", id="anchor"),
+    pytest.param(lambda: HilbertFn(3, 0, BundleSeq(2, [1])), ValueError,
+                 "bundle sequence has a different ambient dimension", id="other-dimension"),
+])
+def test_hilbert_refusals(make, error, message):
+    with pytest.raises(error) as info:
+        make()
+    assert info.type is error and str(info.value) == message

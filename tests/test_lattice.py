@@ -15,7 +15,7 @@ from pnbundles.hilbert import HilbertFn, minimal_betti
 from pnbundles.lattice import MAX_NODES, BettiLattice
 from pnbundles.seqs import IntSeq, is_sub_multiset
 
-from _oracles import ScanLattice, scan_admissible
+from _oracles import ScanLattice, scan_admissible, stratum_dimension
 
 
 @pytest.fixture
@@ -251,3 +251,30 @@ def test_lattice_is_a_product_of_chains(item, anchor, slack, data):
     for lo, hi in lat.hasse():
         assert lat.grade(hi) == lat.grade(lo) + 1
         assert is_sub_multiset(lo, hi)
+
+
+def test_stratum_dimension_drops_along_every_cover():
+    # a cover c -> c + (t) specializes the pair at c, so the bigger pair's
+    # stratum lies in the closure of the smaller's and has lower dimension;
+    # the drop is not the grade, so only its sign is checked
+    lattices = covers = 0
+    for n in range(1, 5):
+        for r in range(n, 6):
+            for d in range(3):
+                for h in bundle_sequences_by_reg(n, r, d):
+                    try:
+                        lattice = BettiLattice(h, d)
+                    except (BadInput, RegularityTooSmall):
+                        continue
+                    lattices += 1
+                    for small, big in lattice.hasse():
+                        covers += 1
+                        drop = stratum_dimension(lattice.pair(small)) - stratum_dimension(lattice.pair(big))
+                        assert drop > 0, (h, small, big)
+    assert (lattices, covers) == (4978, 12680)
+
+
+def test_lattice_refuses_a_non_node(cube):
+    with pytest.raises(ValueError) as info:
+        cube.grade(IntSeq([99]))
+    assert info.type is ValueError and str(info.value) == "(99) is not a node of this lattice"

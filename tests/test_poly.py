@@ -356,3 +356,27 @@ def test_m_primary_agrees_with_quotient_dimension():
         full = len(list(monomials(nvars, probe_degree)))
         quotient_dim = full - slice_rank
         assert Ideal(gens).is_m_primary_or_unit() is (quotient_dim == 0)
+
+
+@pytest.mark.parametrize("make,error,message", [
+    pytest.param(lambda: Poly(1, 2), ValueError, "modulus must be an integer >= 2, got 1", id="modulus"),
+    pytest.param(lambda: Poly(7, 0), ValueError, "need at least one variable, got 0", id="no-variable"),
+    pytest.param(lambda: Poly(7, 2, {(1,): 1}), ValueError, "exponent tuple (1,) has wrong length", id="length"),
+    pytest.param(lambda: Poly(7, 2, {(1, -1): 1}), ValueError, "exponent out of range in (1, -1)", id="negative"),
+    pytest.param(lambda: Poly.zero(7, 2).lead_exps(), ValueError, "zero polynomial has no leading term", id="lead"),
+    pytest.param(lambda: parse_poly("x0 + 1", 7, 2).homogeneous_degree(), ValueError,
+                 "polynomial is zero or not homogeneous", id="mixed-degree"),
+    pytest.param(lambda: parse_poly("x0^3000000000", 7, 2), BadInput, "exponent out of range in 'x0^3000000000'",
+                 id="huge-exponent"),
+    pytest.param(lambda: Ideal([]), ValueError, "an empty ideal needs explicit p and nvars", id="empty-ideal"),
+    pytest.param(lambda: maximal_minors([[V(0, nvars=2), V(1, nvars=2)]], 2), ShapeError, "need at least 2 rows, got 1",
+                 id="minors-short"),
+    pytest.param(lambda: maximal_minors([[V(0, nvars=2)], [V(0, p=11, nvars=2)]], 1), ModulusMismatch,
+                 "matrix entries live in different rings", id="minors-rings"),
+    pytest.param(lambda: maximal_minors([], 0), ShapeError, "cannot take minors of a matrix with no entries",
+                 id="minors-empty"),
+])
+def test_poly_refusals(make, error, message):
+    with pytest.raises(error) as info:
+        make()
+    assert info.type is error and str(info.value) == message

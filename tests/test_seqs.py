@@ -161,3 +161,9 @@ def test_parse_seq_sorts():
         parse_seq("1^x")
     with pytest.raises(BadInput):
         parse_seq("a,b")
+
+
+def test_parse_values_refuses_an_empty_component():
+    with pytest.raises(BadInput) as info:
+        parse_values("1,,2")
+    assert info.type is BadInput and str(info.value) == "empty component in sequence '1,,2'"
