@@ -24,7 +24,6 @@ from .errors import (
     BadInput,
     DomainError,
     EmptyA,
-    EmptyPair,
     ModulusMismatch,
     NotABundle,
     NotAdmissible,
@@ -57,7 +56,6 @@ __all__ = [
     "DeformFamily",
     "DomainError",
     "EmptyA",
-    "EmptyPair",
     "HilbertFn",
     "Ideal",
     "IntSeq",

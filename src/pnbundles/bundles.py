@@ -28,7 +28,7 @@ from .errors import (
     NotGeneralization,
     ShapeError,
 )
-from .poly import Poly, _buchberger, check_prime, format_poly, maximal_minors, monomials, parse_poly
+from .poly import Poly, _buchberger, check_prime, format_poly, monomials, parse_poly
 from .seqs import Frozen, IntSeq, json_int
 
 # random_minimal_map draws one coefficient for every monomial of every entry;
@@ -246,9 +246,10 @@ def verify_bundle(m: PresMatrix) -> bool:
     else every minor lies in the irrelevant ideal and I has height at most
     r + 1 (Eagon-Northcott), so false when r < n.  For r >= n, BadInput is
     raised, before any minor is taken, when the cofactor expansion would keep
-    more than MAX_MINORS subdeterminants.  Every minor goes to the Buchberger
-    loop as it is, zero or repeated too: each joins reduced by the elements
-    before it, and the loop's certificate gives every true.  For r = n, when
+    more than MAX_MINORS subdeterminants.  The Buchberger loop takes the
+    minimal rows and packs every minor once, zero or repeated too, and no
+    ``Poly`` is built: each minor joins reduced by the elements before it,
+    and the loop's certificate gives every true.  For r = n, when
     degree top has at most MAX_MONOMIALS monomials, it answers false as soon
     as its leads miss the Hilbert function R/I has if it is a bundle.
     """
@@ -264,7 +265,7 @@ def verify_bundle(m: PresMatrix) -> bool:
     top = pair.a.total() + n * pair.a[-1] - pair.b.total() - n  # a bundle's R/I vanishes from degree top on
     few = pair.r == n and 0 <= top <= MAX_MONOMIALS and comb(top + n, n) <= MAX_MONOMIALS
     predict = (lambda: _hilbert_prediction(pair, top)) if few else None
-    return _buchberger(maximal_minors(rows, l), m.p, n + 1, True, predict) is None
+    return _buchberger(rows, l, m.p, n + 1, True, predict) is None
 
 
 def _hilbert_prediction(pair: BettiPair, top: int) -> dict[int, int]:

@@ -19,10 +19,6 @@ class NotAdmissible(DomainError):
     code = "NotAdmissible"
 
 
-class EmptyPair(DomainError):
-    code = "EmptyPair"
-
-
 class EmptyA(DomainError):
     code = "EmptyA"
 

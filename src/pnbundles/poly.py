@@ -235,14 +235,15 @@ def normal_form(f: Poly, basis) -> Poly:
     """Remainder of f under multivariate division by the listed polynomials.
 
     Every term of the result is divisible by no leading monomial of the
-    basis; when the basis is a Groebner basis the remainder is unique.
+    basis; when the basis is a Groebner basis the remainder is unique.  f
+    and the basis are packed as one column of 1 x 1 minors.
     """
     basis = [g for g in basis if g]
     for g in basis:
         f._compat(g)
-    pk = _Packing(f.nvars, max(g.degree() for g in [f, *basis]))
-    records = [_record(pk.pack_terms(g.terms), f.p) for g in basis]
-    return Poly(f.p, f.nvars, pk.unpack_terms(_reduce(pk.pack_terms(f.terms), records, f.p, pk.guard)))
+    (work, *divisors), pk = _minors([[g] for g in [f, *basis]], 1, f.p, f.nvars)
+    records = [_record(g, f.p) for g in divisors]
+    return Poly(f.p, f.nvars, pk.unpack_terms(_reduce(work, records, f.p, pk.guard)))
 
 
 # The engine works on packed monomials.  A basis element is a record (packed
@@ -355,24 +356,24 @@ def _spoly_work(f, g, lcm: int, p: int) -> tuple[dict, list]:
     return work, keys
 
 
-def _buchberger(gens, p: int, nvars: int, certify: bool, predict=None):
+def _buchberger(rows, size: int, p: int, nvars: int, certify: bool, predict=None):
     """Buchberger's algorithm with normal selection (smallest lcm first, ties
     by index) and both classical pair-elimination criteria: the records and
-    packing of a Groebner basis of the generators, or with ``certify`` None
-    once the leads of the generators and new elements hold a constant or a
-    pure power of every variable.  Generator k then waits on the heap as
-    (packed lead, -1, k) and joins as a remainder does, reduced by the basis.
+    packing of a Groebner basis of the maximal minors of a matrix with
+    ``size`` columns (a generator list is the column of its 1 x 1 minors), or
+    with ``certify`` None once the leads of the minors and new elements hold
+    a constant or a pure power of every variable.  Minor k waits on the heap
+    as (packed lead, -1, k) and joins as a remainder does, reduced by the basis.
 
-    ``predict``, called only when no generator certifies, gives the Hilbert
+    ``predict``, called only when no minor certifies, gives the Hilbert
     function {t: h(t)}, zero elsewhere, that R/I has if I is m-primary.  The
     loop keeps the standard monomials of each entry's degree t, skips the rest
     of degree t's entries once they number h(t), and returns the records so
     far once they fall below h(t), end degree t above it, or the heap empties.
     """
-    # Room for 2D, D the generators' top degree: while generator k waits, every entry taken is below k's lead, so it
-    # and its remainder have degree <= D and each lcm <= 2D.  So each generator packed here stays valid until taken.
-    pk = _Packing(nvars, 2 * max([0, *map(Poly.degree, gens)]))
-    inputs = [pk.pack_terms(g.terms) for g in gens]
+    # _minors leaves room for 2D, D a bound on the minors' degree: while minor k waits, every entry taken is below
+    # k's lead, so it and its remainder have degree <= D and each lcm <= 2D.  So each minor stays valid until taken.
+    inputs, pk = _minors(rows, size, p, nvars)
     heap = sorted((max(work), -1, k) for k, work in enumerate(inputs) if work)  # sorted, so a heap
     full, powers = (1 << nvars) - 1, 0  # the variables with a pure-power lead; all of them once a lead is 1
 
@@ -385,7 +386,7 @@ def _buchberger(gens, p: int, nvars: int, certify: bool, predict=None):
             powers |= support or full
         return exps, support
 
-    firsts = {k: read_lead(lead) for lead, _, k in heap}  # generator k's lead, reused if it joins with it
+    firsts = {k: read_lead(lead) for lead, _, k in heap}  # minor k's lead, reused if it joins with it
     if certify and powers == full:
         return None
     hilbert = predict() if predict else None
@@ -452,7 +453,7 @@ def groebner_basis(gens) -> list[Poly]:
     for g in gens:
         gens[0]._compat(g)
     p, nvars = gens[0].p, gens[0].nvars
-    G, pk = _buchberger(gens, p, nvars, False)
+    G, pk = _buchberger([[g] for g in gens], 1, p, nvars, False)
     return _interreduce(G, p, nvars, pk)
 
 
@@ -506,32 +507,36 @@ class Ideal(Frozen):
         """
         if not all(g.is_homogeneous() for g in self.gens):
             raise ValueError("is_m_primary_or_unit needs homogeneous generators")
-        return _buchberger(self.gens, self.p, self.nvars, True) is None
+        return _buchberger([[g] for g in self.gens], 1, self.p, self.nvars, True) is None
 
 
 def maximal_minors(matrix, size: int) -> list[Poly]:
-    """All determinants of ``size`` rows of a matrix with ``size`` columns.
-
-    Cofactor expansion along the first column, memoizing shared
-    subdeterminants across the different row choices.  The entries are
-    packed once, for the sum over the columns of their largest entry degree,
-    which bounds the degree of every subdeterminant; the expansion runs on
-    packed terms, and a ``Poly`` is built only for each minor returned.
-    """
+    """All determinants of ``size`` rows of a matrix with ``size`` columns,
+    checked to share one ring and taken by ``_minors`` on packed terms; each
+    minor is unpacked once, into its ``Poly``."""
     rows = [list(row) for row in matrix]
     if any(len(row) != size for row in rows):
         raise ShapeError(f"matrix must have exactly {size} columns")
     if len(rows) < size:
         raise ShapeError(f"need at least {size} rows, got {len(rows)}")
     entries = [e for row in rows for e in row]
-    if entries:
-        p, nvars = entries[0].p, entries[0].nvars
-        for e in entries:
-            if e.p != p or e.nvars != nvars:
-                raise ModulusMismatch("matrix entries live in different rings")
-    else:
+    if not entries:
         raise ShapeError("cannot take minors of a matrix with no entries")
-    pk = _Packing(nvars, sum(max(0, *map(Poly.degree, col)) for col in zip(*rows)))
+    p, nvars = entries[0].p, entries[0].nvars
+    if any(e.p != p or e.nvars != nvars for e in entries):
+        raise ModulusMismatch("matrix entries live in different rings")
+    minors, pk = _minors(rows, size, p, nvars)
+    return [Poly(p, nvars, pk.unpack_terms(work)) for work in minors]
+
+
+def _minors(rows, size: int, p: int, nvars: int) -> tuple[list[dict], _Packing]:
+    """The packed determinants of ``size`` rows, in the order of the row
+    choices, of a matrix with ``size`` columns, and their packing; nothing
+    is checked.  Cofactor expansion along the first column memoizes the
+    subdeterminants that row choices share.  The entries are packed once,
+    with room for twice the sum over the columns of their largest entry
+    degree: the sum bounds the degree of every minor, and twice it their lcms."""
+    pk = _Packing(nvars, 2 * sum(max(0, *map(Poly.degree, col)) for col in zip(*rows)))
     packed = [[list(pk.pack_terms(e.terms).items()) for e in row] for row in rows]
     memo: dict[tuple[int, ...], dict] = {(): {0: 1}}
 
@@ -551,6 +556,6 @@ def maximal_minors(matrix, size: int) -> list[Poly]:
         memo[row_idx] = acc
         return acc
 
-    minors = [Poly(p, nvars, pk.unpack_terms(det(sel))) for sel in combinations(range(len(rows)), size)]
+    minors = [det(sel) for sel in combinations(range(len(rows)), size)]
     memo.clear()  # det refers to itself, so a collection, not return, frees it
-    return minors
+    return minors, pk

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from pnbundles import bundles
+from pnbundles import bundles, poly
 from pnbundles.betti import BettiPair, generalizes
 from pnbundles.bundles import (
     PresMatrix,
@@ -483,7 +483,7 @@ def test_verify_bundle_bounds_the_cofactor_expansion(monkeypatch):
     # linear forms over P^1 fill every column, so the expansion keeps the
     # subdeterminants of every size from 1 to l: 2^17 - 2 for 17 x 16 and
     # 2^18 - 1 for 19 x 9, where the minors are only 17 and 92,378
-    monkeypatch.setattr(bundles, "maximal_minors", lambda *args: pytest.fail("a minor was taken"))
+    monkeypatch.setattr(poly, "_minors", lambda *args: pytest.fail("a minor was taken"))
     for l, r in ((16, 1), (9, 10)):
         m = random_minimal_map(BettiPair(1, [1] * l, [0] * (l + r)), P, 1)
         start = time.perf_counter()

@@ -193,6 +193,18 @@ def test_minors_pack_once_and_build_one_poly_per_minor(monkeypatch, a, b):
     assert polys == minors and len(minors) > 1
 
 
+@pytest.mark.parametrize("a,b", SHAPES)
+def test_verify_bundle_packs_its_minors_once_and_builds_no_poly(monkeypatch, a, b):
+    # the loop takes the matrix and packs its minors once; only a widening packs again, and wider
+    m = random_minimal_map(BettiPair(3, a, b), 32003, 1)
+    caps, polys = record_caps(monkeypatch), []
+    init = Poly.__init__
+    monkeypatch.setattr(Poly, "__init__", lambda self, *args: polys.append(self) or init(self, *args))
+    verify_bundle(m)
+    assert polys == [] and caps
+    assert all(old < new for old, new in zip(caps, caps[1:]))
+
+
 def test_no_reduction_before_a_certificate(monkeypatch):
     calls = []
     reduce = poly._reduce

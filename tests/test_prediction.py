@@ -12,7 +12,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from pnbundles import bundles
+from pnbundles import bundles, poly
 from pnbundles.betti import BettiPair
 from pnbundles.bundles import PresMatrix, explicit_matrix, random_matrix, random_minimal_map, verify_bundle
 from pnbundles.poly import Ideal, Poly, groebner_basis, maximal_minors, monomials
@@ -161,7 +161,7 @@ def refuse(*args):
 def test_r_below_n_without_a_degree_zero_minor_takes_no_minor(monkeypatch):
     # four random linear forms over P^1000: every minor has degree 1
     m = random_minimal_map(BettiPair(1000, (1,), (0, 0, 0, 0)), P, 1)
-    monkeypatch.setattr(bundles, "maximal_minors", refuse)
+    monkeypatch.setattr(poly, "_minors", refuse)
     assert verify_bundle(m) is False
 
 
