@@ -2,13 +2,13 @@
 
 A presentation matrix realizes a Betti pair: rows follow the target twists
 b, columns the source twists a, and the entry at (i, j) is zero or
-homogeneous of degree a_j - b_i.  The cokernel is a bundle exactly when the
-ideal of maximal minors is the unit ideal or primary to the irrelevant
-maximal ideal, which is what ``verify_bundle`` decides on the minimal
-presentation, left once the units (entries with a_j = b_i) are split off.
-There r < n never makes a bundle, and with r = n the Hilbert function that
-the twists predict for a bundle's minor ideal (Eagon-Northcott) ends the
-Buchberger loop early.
+homogeneous of degree a_j - b_i.  The cokernel is a bundle exactly when
+the rows leave a quotient of finite length of the free module with basis
+e_j of degree -a_j, which ``verify_bundle`` decides on the rows of the
+minimal presentation, left once the units (entries with a_j = b_i) are
+split off.  There r < n never makes a bundle, and with r = n the Hilbert
+function that the twists predict for a bundle's quotient (Buchsbaum-Rim)
+ends the Buchberger loop early.
 """
 
 from __future__ import annotations
@@ -34,11 +34,6 @@ from .seqs import Frozen, IntSeq, json_int
 # random_minimal_map draws one coefficient for every monomial of every entry;
 # 10^5 of them take about a second to draw and print
 MAX_MONOMIALS = 10**5
-
-# verify_bundle's cofactor expansion keeps one subdeterminant for each set of
-# k rows among l + r, k = l down to where it meets a zero column, when r >= n;
-# the 92,378 zero minors of a 19 x 9 zero matrix take about half a second
-MAX_MINORS = 10**5
 
 # The largest n of a matrix that `check` reads or `present` prints: packing one
 # monomial of P^n costs O(n^2) bit operations.  Only a pair with an empty a
@@ -238,58 +233,53 @@ def _split_units(m: PresMatrix) -> tuple[BettiPair, list]:
 
 
 def verify_bundle(m: PresMatrix) -> bool:
-    """Decide whether the cokernel of the matrix is a bundle.
-
-    True iff the ideal I of maximal minors is the unit ideal or primary to
-    the irrelevant maximal ideal.  I is an invariant of the cokernel, so it
-    is read off the minimal presentation: true when that has no columns, and
-    else every minor lies in the irrelevant ideal and I has height at most
-    r + 1 (Eagon-Northcott), so false when r < n.  For r >= n, BadInput is
-    raised, before any minor is taken, when the cofactor expansion would keep
-    more than MAX_MINORS subdeterminants.  The Buchberger loop takes the
-    minimal rows and packs every minor once, zero or repeated too, and no
-    ``Poly`` is built: each minor joins reduced by the elements before it,
-    and the loop's certificate gives every true.  For r = n, when
-    degree top has at most MAX_MONOMIALS monomials, it answers false as soon
-    as its leads miss the Hilbert function R/I has if it is a bundle.
-    """
+    """Decide whether the cokernel of the matrix is a bundle: whether the
+    rows leave a quotient Q of finite length of the free module with basis
+    e_j of degree -a_j.  Q is supported where the maximal minors vanish, and
+    is read off the minimal rows less their zero rows (split line bundles):
+    true with no column, false with a zero column or with r < n, where the
+    minors span an ideal of height at most r + 1 (Eagon-Northcott).  Else
+    the Buchberger loop decides on the rows; for r = n it stops once its
+    leads miss the Hilbert function of a bundle's Q, when degree top + max a
+    has at most MAX_MONOMIALS monomials."""
     pair, rows = _split_units(m)
-    l, n = pair.l, pair.n
-    if l == 0:
+    n, a = pair.n, pair.a.entries
+    if not a:
         return True
-    if pair.r < n:  # every minor lies in the irrelevant ideal, and their ideal has height <= r + 1 <= n
+    b = [bi for bi, row in zip(pair.b.entries, rows) if any(row)]
+    rows = [row for row in rows if any(row)]
+    if len(b) - len(a) < n or not all(map(any, zip(*rows))):  # height <= r + 1 <= n, or a zero column
         return False
-    z = next((j for j in range(l) if not any(row[j] for row in rows)), l)  # the expansion stops at column z
-    if sum(comb(l + pair.r, k) for k in range(max(1, l - z), l + 1)) > MAX_MINORS:
-        raise BadInput(f"the minimal presentation has more than {MAX_MINORS} subdeterminants to expand")
-    top = pair.a.total() + n * pair.a[-1] - pair.b.total() - n  # a bundle's R/I vanishes from degree top on
-    few = pair.r == n and 0 <= top <= MAX_MONOMIALS and comb(top + n, n) <= MAX_MONOMIALS
-    predict = (lambda: _hilbert_prediction(pair, top)) if few else None
-    return _buchberger(rows, l, m.p, n + 1, True, predict) is None
+    top = sum(a) + (n - 1) * a[-1] - sum(b) - n  # a bundle's Q vanishes from degree top on
+    few = len(b) - len(a) == n and 0 <= top + a[-1] <= MAX_MONOMIALS and comb(top + a[-1] + n, n) <= MAX_MONOMIALS
+    predict = (lambda: _hilbert_prediction(BettiPair(n, a, b), top)) if few else None
+    return _buchberger(rows, a, m.p, n + 1, True, predict) is None
 
 
 def _hilbert_prediction(pair: BettiPair, top: int) -> dict[int, int]:
-    """{t: dim (R/I)_t} for t = 0..top, if I, the ideal of maximal minors of a
-    matrix of the pair's shape with r = n, has height r + 1.  Then the
-    Eagon-Northcott complex resolves R/I; its k-th module has a generator of
-    degree sum(a) + sum(a_T) - sum(b_S) for each set S of l + k - 1 rows and
-    multiset T of k - 1 columns.  By the complement of S, the Hilbert series
-    has numerator N(z) = 1 + sum_k (-1)^k z^c1 e_(r+1-k)(z^b) h_(k-1)(z^a).
+    """{t: dim Q_t} for t = -max(a)..top, Q the quotient by the rows of a
+    matrix of the pair's shape with r = n, if its maximal minors span an
+    ideal of height r + 1.  Then the Buchsbaum-Rim complex resolves Q: past
+    the e_j and the rows, its k-th module has a generator of degree
+    sum(a) - sum(b_S) + sum(a_T) for each set S of l + k rows and multiset T
+    of k - 1 columns.  So the Hilbert series has numerator sum_j z^-a_j -
+    sum_i z^-b_i + sum_(k=1..r) (-1)^(k+1) z^sum(a) e_(l+k)(z^-b) h_(k-1)(z^a).
     """
-    n, r, c1 = pair.n, pair.r, pair.c1()
-    # e[j], h[j]: the elementary and the complete symmetric sums of degree j, as {power: coefficient}
-    e, h = ([Counter({0: 1})] + [Counter() for _ in range(r)] for _ in range(2))
-    for sums, values, js in ((e, pair.b, range(r, 0, -1)), (h, pair.a, range(1, r + 1))):
+    n, l, r = pair.n, pair.l, pair.r
+    # e[k], h[k]: the elementary symmetric sums of z^-b and the complete ones of z^a, as {power: coefficient}
+    e, h = ([Counter({0: 1})] + [Counter() for _ in range(size)] for size in (l + r, r - 1))
+    for sums, values, ks in ((e, [-v for v in pair.b], range(l + r, 0, -1)), (h, pair.a, range(1, r))):
         for v in values:
-            for j in js:
-                for s, c in sums[j - 1].items():
-                    sums[j][s + v] += c
-    num = Counter({0: 1})
-    for k in range(1, r + 2):
-        for x, c in e[r + 1 - k].items():
+            for k in ks:
+                for s, c in sums[k - 1].items():
+                    sums[k][s + v] += c
+    num = Counter(-v for v in pair.a)
+    num.subtract(-v for v in pair.b)
+    for k in range(1, r + 1):
+        for x, c in e[l + k].items():
             for y, c2 in h[k - 1].items():
-                num[c1 + x + y] += (-1) ** k * c * c2
-    return {t: sum(c * comb(t - d + n, n) for d, c in num.items() if d <= t) for t in range(top + 1)}
+                num[pair.a.total() + x + y] += (-1) ** (k + 1) * c * c2
+    return {t: sum(c * comb(t - d + n, n) for d, c in num.items() if d <= t) for t in range(-pair.a[-1], top + 1)}
 
 
 def minimize_presentation(m: PresMatrix) -> tuple[BettiPair, PresMatrix]:

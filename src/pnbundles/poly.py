@@ -3,9 +3,9 @@
 Polynomials are sparse maps from exponent tuples to nonzero coefficients in
 F_p.  The term order is graded reverse lexicographic throughout.  On top of
 the ring arithmetic the module provides maximal minors, a Buchberger
-Groebner engine (normal pair selection, product and chain criteria, reduced
-output), and the decision whether a homogeneous ideal is the unit ideal or
-primary to the irrelevant maximal ideal.
+Groebner engine for submodules of a graded free module given by the rows of
+a matrix, an ideal being the case of one column, and the decision whether a
+homogeneous ideal is the unit ideal or primary to the irrelevant ideal.
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ class Poly(Frozen):
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._compat(other)
-        pk = _Packing(self.nvars, self.degree() + other.degree())
+        pk = _Packing(self.nvars, self.degree() + other.degree(), (0,))
         terms = pk.pack_terms(other.terms).items()
         out: dict[int, int] = {}
         keys: list[int] = []  # unread: a product needs no order
@@ -236,44 +236,45 @@ def normal_form(f: Poly, basis) -> Poly:
 
     Every term of the result is divisible by no leading monomial of the
     basis; when the basis is a Groebner basis the remainder is unique.  f
-    and the basis are packed as one column of 1 x 1 minors.
+    and the basis are packed as rows of one position.
     """
     basis = [g for g in basis if g]
     for g in basis:
         f._compat(g)
-    (work, *divisors), pk = _minors([[g] for g in [f, *basis]], 1, f.p, f.nvars)
+    (work, *divisors), pk = _pack_rows([[g] for g in [f, *basis]], (0,), f.nvars)
     records = [_record(g, f.p) for g in divisors]
     return Poly(f.p, f.nvars, pk.unpack_terms(_reduce(work, records, f.p, pk.guard)))
 
 
-# The engine works on packed monomials.  A basis element is a record (packed
+# The engine works on packed terms.  A basis element is a record (packed
 # lead, packed terms of its monic multiple other than the lead), made when it
 # joins the basis; dividing by a nonzero multiple of a polynomial leaves the
 # same remainder.  A pending pair is a heap entry (packed lcm, i, j).
 
 
 class _Packing:
-    """Monomials of bounded degree in ``nvars`` variables, each packed into
-    one int of 2 * nvars fields of equal width.
+    """Terms m*e_j, e_j of degree -a_j and m a monomial in ``nvars``
+    variables, each packed into one int of equal fields.  From the top:
+    deg m - a_j + max a; the prefix sums x0+...+x_(nvars-2) down to x0; one
+    field per position, 1 at j; the exponents.  So the ints compare by
+    twisted degree, then grevlex at equal degree, then position: a term
+    order, grevlex when l = 1.  Positions and exponents lie under a guard
+    bit each, so that g divides t, at one position, exactly when
+    ``((t | guard) - g) & guard == guard``.  Below the top no field passes
+    ``cap``, which bounds the degree of the terms packed, so none carries
+    into the next and a monomial plus a term packs their product."""
 
-    The upper fields hold the prefix sums of the exponents, the degree
-    x0+...+x_{n-1} highest and x0 lowest; for equal degree grevlex is lex on
-    these sums, so the ints compare as the monomials do.  The lower fields
-    hold the exponents themselves under a guard bit each, so that g divides t
-    exactly when ``((t | guard) - g) & guard == guard``.  Every field holds
-    values up to ``cap``.  Grevlex is degree-compatible, so while no term
-    passes degree ``cap`` no field carries into the next, and adding two
-    packed monomials packs their product.
-    """
+    __slots__ = ("cap", "guard", "full", "ones", "lift", "top", "at", "_vars", "_shifts", "_pos")
 
-    __slots__ = ("cap", "guard", "_vars", "_shifts")
-
-    def __init__(self, nvars: int, degree: int):
-        width = degree.bit_length() + 1  # one bit more, for the guard
-        low = nvars * width
-        self.cap = (1 << (width - 1)) - 1
-        self.guard = sum(self.cap + 1 << i * width for i in range(nvars))
-        self._shifts = range(0, low, width)
+    def __init__(self, nvars: int, degree: int, twists):
+        width = max(degree, 1).bit_length() + 1  # one bit more, for the guard; a position needs a bit under it
+        self.cap, low = (1 << (width - 1)) - 1, (nvars + len(twists)) * width
+        self.guard = sum(self.cap + 1 << i for i in range(0, low, width))
+        self._shifts, self._pos = range(0, nvars * width, width), range(nvars * width, low, width)
+        self.ones = sum(1 << s for s in self._shifts)
+        self.full = self.ones << width - 1  # the exponents' guard bits: all the variables
+        self.top, self.lift = low + (nvars - 1) * width, max(twists)
+        self.at = [(1 << s) + (self.lift - a << self.top) for s, a in zip(self._pos, twists)]  # e_j packed
         # x_i counts once in its own exponent field and once in each prefix sum from x0+...+x_i up
         self._vars, above = [0] * nvars, 0
         for i in reversed(range(nvars)):
@@ -287,11 +288,28 @@ class _Packing:
         cap = self.cap
         return tuple(m >> s & cap for s in self._shifts)
 
+    def position(self, m: int) -> int:
+        return next(j for j, s in enumerate(self._pos) if m >> s & 1)
+
+    def move(self, m: int, old: "_Packing") -> int:
+        return self.pack(old.unpack(m)) + self.at[old.position(m)]
+
     def pack_terms(self, terms: dict) -> dict:
         return {self.pack(e): c for e, c in terms.items()}
 
     def unpack_terms(self, work: dict) -> dict:
         return {self.unpack(m): c for m, c in work.items()}
+
+
+def _pack_rows(rows, twists, nvars: int) -> tuple[list[dict], _Packing]:
+    """The rows as packed elements sum_j row[j]*e_j, and their packing, with
+    room for 2(T + max a), T the top twisted degree of a term: while row k
+    waits in ``_buchberger`` every entry taken is below its lead, so a lead at
+    e_j has degree <= T + a_j, an lcm <= 2(T + a_j), a term met <= 2T + a_j + max a."""
+    lift = max(twists)
+    room = max((e.degree() + lift - a for row in rows for e, a in zip(row, twists) if e), default=0)
+    pk = _Packing(nvars, 2 * room, twists)
+    return [{pk.pack(m) + at: c for e, at in zip(row, pk.at) for m, c in e.terms.items()} for row in rows], pk
 
 
 def _record(work: dict, p: int):
@@ -356,72 +374,76 @@ def _spoly_work(f, g, lcm: int, p: int) -> tuple[dict, list]:
     return work, keys
 
 
-def _buchberger(rows, size: int, p: int, nvars: int, certify: bool, predict=None):
+def _buchberger(rows, twists, p: int, nvars: int, certify: bool, predict=None):
     """Buchberger's algorithm with normal selection (smallest lcm first, ties
-    by index) and both classical pair-elimination criteria: the records and
-    packing of a Groebner basis of the maximal minors of a matrix with
-    ``size`` columns (a generator list is the column of its 1 x 1 minors), or
-    with ``certify`` None once the leads of the minors and new elements hold
-    a constant or a pure power of every variable.  Minor k waits on the heap
-    as (packed lead, -1, k) and joins as a remainder does, reduced by the basis.
+    by index), the chain criterion and, for an ideal, the product one, on
+    the rows of a matrix, row i being sum_j rows[i][j]*e_j with e_j of
+    degree -``twists``[j].  The records and packing of a Groebner basis, or
+    with ``certify`` None once at every position the leads hold e_j or a pure
+    power of every variable, so that the quotient has finite length.  Row k
+    waits on the heap as (packed lead, -1, k) and joins as a remainder.
 
-    ``predict``, called only when no minor certifies, gives the Hilbert
-    function {t: h(t)}, zero elsewhere, that R/I has if I is m-primary.  The
-    loop keeps the standard monomials of each entry's degree t, skips the rest
-    of degree t's entries once they number h(t), and returns the records so
-    far once they fall below h(t), end degree t above it, or the heap empties.
-    """
-    # _minors leaves room for 2D, D a bound on the minors' degree: while minor k waits, every entry taken is below
-    # k's lead, so it and its remainder have degree <= D and each lcm <= 2D.  So each minor stays valid until taken.
-    inputs, pk = _minors(rows, size, p, nvars)
+    ``predict``, called only when no row certifies, gives the Hilbert
+    function {t: h(t)}, zero elsewhere, of a quotient of finite length.  The
+    loop keeps the standard terms of the current degree t, skips the rest of
+    its entries once they number h(t), and returns the records so far once
+    they fall below h(t), end degree t above it, or the heap empties."""
+    inputs, pk = _pack_rows(rows, twists, nvars)
     heap = sorted((max(work), -1, k) for k, work in enumerate(inputs) if work)  # sorted, so a heap
-    full, powers = (1 << nvars) - 1, 0  # the variables with a pure-power lead; all of them once a lead is 1
+    G, leads, reads, pending = [], {}, [], set()  # reads: read_lead of G's leads; pending: the heap's pairs (i, j)
+    powers = [0] * len(twists)  # per position, the variables with a pure-power lead there; all once a lead is e_j
 
-    def read_lead(lead: int) -> tuple:
-        """A lead's exponents and its variables as a bitmask, which joins powers if it has at most one bit."""
-        nonlocal powers
-        exps = pk.unpack(lead)
-        support = sum(1 << k for k, e in enumerate(exps) if e)
+    def read_lead(lead: int) -> tuple[int, int]:  # its variables, as the guard bits that survive less 1; its position
+        support, j = ((lead | pk.guard) - pk.ones) & pk.full, pk.position(lead)
         if not support & (support - 1):
-            powers |= support or full
-        return exps, support
+            powers[j] |= support or pk.full
+        return (support if len(twists) == 1 else -1), j  # see add_pairs
 
-    firsts = {k: read_lead(lead) for lead, _, k in heap}  # minor k's lead, reused if it joins with it
-    if certify and powers == full:
+    for lead, _, _ in heap:
+        read_lead(lead)
+    if certify and all(v == pk.full for v in powers):
         return None
     hilbert = predict() if predict else None
-    G, leads, supports, pending = [], [], [], set()  # pending: the (i, j) of the heap's pairs
-    std, deg = {0}, 0  # the standard monomials of degree deg, packed: 0 packs 1
+    std, deg = set(), -pk.lift - 1  # the standard terms of twisted degree deg, packed: none below every e_j
 
     def add_pairs(j: int) -> None:
         nonlocal pk, std
-        # coprime leads make no pair, which the chain criterion counts as treated: its S-polynomial reduces to zero
-        lcms = [(i, tuple(map(max, leads[i], leads[j]))) for i in range(j) if supports[i] & supports[j]]
-        top = max((sum(lcm) for _, lcm in lcms), default=0)
-        if top > pk.cap:  # every term met while reducing this pair has degree <= top
-            old, pk = pk, _Packing(nvars, top)
-            G[:] = [(pk.pack(old.unpack(lead)), [(pk.pack(old.unpack(m)), c) for m, c in tail]) for lead, tail in G]
-            heap[:] = [(pk.pack(old.unpack(lcm)), i, k) for lcm, i, k in heap]  # same order: still a heap
-            std = {pk.pack(old.unpack(m)) for m in std}
+        # Leads that share no variable make no pair, which the chain criterion counts as treated: for an ideal their
+        # S-polynomial reduces to zero.  In a module it need not (x*e1 and y*e1 + e2 give -x*e2), so there all meet.
+        support, pos = reads[j]
+        mates = [i for i, (s, q) in enumerate(reads[:j]) if q == pos and s & support]
+        if not mates:
+            return
+        for i in (*mates, j):  # a lead is unpacked when it first makes a pair
+            leads[i] = leads.get(i) or pk.unpack(G[i][0])
+        lcms = [(i, tuple(map(max, leads[i], leads[j]))) for i in mates]
+        top = max(sum(lcm) for _, lcm in lcms) - twists[pos] + pk.lift
+        if top > pk.cap:  # every term met while reducing a pair has at most its lcm's twisted degree
+            old, pk = pk, _Packing(nvars, top, twists)
+            G[:] = [(pk.move(lead, old), [(pk.move(m, old), c) for m, c in tail]) for lead, tail in G]
+            heap[:] = [(pk.move(lcm, old), i, k) for lcm, i, k in heap]  # same order: still a heap
+            std = {pk.move(m, old) for m in std}
+            powers[:] = [0] * len(powers)  # read again in the new packing
+            reads[:] = [read_lead(lead) for lead, _ in G]
         for i, lcm in lcms:
-            heappush(heap, (pk.pack(lcm), i, j))
+            heappush(heap, (pk.pack(lcm) + pk.at[pos], i, j))
             pending.add((i, j))
 
     while heap:
         lcm, i, j = heappop(heap)
         pending.discard((i, j))
         if hilbert is not None:
-            d = sum(pk.unpack(lcm))  # no later entry has a lower degree, nor a new lead
+            d = (lcm >> pk.top) - pk.lift  # no later entry has a lower twisted degree, nor a new lead
             while deg < d and len(std) == hilbert.get(deg, 0):  # degree deg ended as predicted
-                # m is standard iff it is no lead and m / x_i is standard for each x_i dividing m
+                # m is standard iff it is no lead and m / x_i is standard for each x_i dividing m; so is e_j
                 deg, known, xs = deg + 1, {g for g, _ in G}, list(zip(pk._vars, pk._shifts))
-                std = {m for m in {s + x for s in std for x, _ in xs}
-                       if m not in known and all(m - x in std for x, sh in xs if m >> sh & pk.cap)}
+                new = {s + x for s in std for x, _ in xs} | {e for e, a in zip(pk.at, twists) if a == -deg}
+                std = {m for m in new if m not in known and all(m - x in std for x, sh in xs if m >> sh & pk.cap)}
             excess = len(std) - hilbert.get(deg, 0)
             if excess < 0 or deg < d:  # short, or degree deg ended above h
                 return G, pk
             if not excess:
-                continue  # when I is m-primary, the leads of degree d are all found
+                continue  # when the quotient has finite length, the leads of degree d are all found
         guard = pk.guard
         top = lcm | guard
         if i >= 0 and any(
@@ -434,11 +456,9 @@ def _buchberger(rows, size: int, p: int, nvars: int, certify: bool, predict=None
         r = _reduce(work, G, p, guard, keys)
         if r:
             G.append(_record(r, p))
-            lead, support = firsts[j] if i < 0 and G[-1][0] == lcm else read_lead(G[-1][0])
-            if certify and powers == full:
+            reads.append(read_lead(G[-1][0]))
+            if certify and all(v == pk.full for v in powers):
                 return None
-            leads.append(lead)
-            supports.append(support)
             std.discard(G[-1][0])
             add_pairs(len(G) - 1)
     return G, pk
@@ -453,7 +473,7 @@ def groebner_basis(gens) -> list[Poly]:
     for g in gens:
         gens[0]._compat(g)
     p, nvars = gens[0].p, gens[0].nvars
-    G, pk = _buchberger([[g] for g in gens], 1, p, nvars, False)
+    G, pk = _buchberger([[g] for g in gens], (0,), p, nvars, False)
     return _interreduce(G, p, nvars, pk)
 
 
@@ -507,13 +527,14 @@ class Ideal(Frozen):
         """
         if not all(g.is_homogeneous() for g in self.gens):
             raise ValueError("is_m_primary_or_unit needs homogeneous generators")
-        return _buchberger([[g] for g in self.gens], 1, self.p, self.nvars, True) is None
+        return _buchberger([[g] for g in self.gens], (0,), self.p, self.nvars, True) is None
 
 
 def maximal_minors(matrix, size: int) -> list[Poly]:
-    """All determinants of ``size`` rows of a matrix with ``size`` columns,
-    checked to share one ring and taken by ``_minors`` on packed terms; each
-    minor is unpacked once, into its ``Poly``."""
+    """All determinants of ``size`` rows of a matrix with ``size`` columns, by
+    cofactor expansion along the first column, memoizing the subdeterminants
+    that row choices share.  The entries, checked to share one ring, are
+    packed once, with room for the sum of the columns' largest degrees."""
     rows = [list(row) for row in matrix]
     if any(len(row) != size for row in rows):
         raise ShapeError(f"matrix must have exactly {size} columns")
@@ -525,18 +546,7 @@ def maximal_minors(matrix, size: int) -> list[Poly]:
     p, nvars = entries[0].p, entries[0].nvars
     if any(e.p != p or e.nvars != nvars for e in entries):
         raise ModulusMismatch("matrix entries live in different rings")
-    minors, pk = _minors(rows, size, p, nvars)
-    return [Poly(p, nvars, pk.unpack_terms(work)) for work in minors]
-
-
-def _minors(rows, size: int, p: int, nvars: int) -> tuple[list[dict], _Packing]:
-    """The packed determinants of ``size`` rows, in the order of the row
-    choices, of a matrix with ``size`` columns, and their packing; nothing
-    is checked.  Cofactor expansion along the first column memoizes the
-    subdeterminants that row choices share.  The entries are packed once,
-    with room for twice the sum over the columns of their largest entry
-    degree: the sum bounds the degree of every minor, and twice it their lcms."""
-    pk = _Packing(nvars, 2 * sum(max(0, *map(Poly.degree, col)) for col in zip(*rows)))
+    pk = _Packing(nvars, sum(max(0, *map(Poly.degree, col)) for col in zip(*rows)), (0,))
     packed = [[list(pk.pack_terms(e.terms).items()) for e in row] for row in rows]
     memo: dict[tuple[int, ...], dict] = {(): {0: 1}}
 
@@ -558,4 +568,4 @@ def _minors(rows, size: int, p: int, nvars: int) -> tuple[list[dict], _Packing]:
 
     minors = [det(sel) for sel in combinations(range(len(rows)), size)]
     memo.clear()  # det refers to itself, so a collection, not return, frees it
-    return minors, pk
+    return [Poly(p, nvars, pk.unpack_terms(work)) for work in minors]

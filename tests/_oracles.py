@@ -564,3 +564,96 @@ def full_basis_m_primary(gens, nvars):
         if len(support) == 1:
             missing.discard(support[0])
     return not missing
+
+
+# A submodule of F = R^l on plain tuples: an element is a dict {(j, exps): c}
+# for the term c * m * e_j.  Terms compare by grevlex on m, then by j (the
+# order that sympy's agca calls TOP, with the index compared lex); any order
+# gives the leads of a Groebner basis the Hilbert function of F / M.  Pairs of
+# leads at one position are treated smallest lcm first, with no criterion.
+
+
+def _module_key(term):
+    j, exps = term
+    return _grevlex_key(exps), j
+
+
+def _module_record(terms, p):
+    lead = max(terms, key=_module_key)
+    inv = pow(terms[lead], -1, p)
+    return lead, {t: c * inv % p for t, c in terms.items()}
+
+
+def _module_reduce(terms, records, p):
+    work, rem = dict(terms), {}
+    while work:
+        (j, lt) = t = max(work, key=_module_key)
+        for (gj, ge), g in records:
+            if gj == j and _tuple_divides(ge, lt):
+                shift, factor = tuple(a - b for a, b in zip(lt, ge)), work[t]
+                for (k, e), c in g.items():
+                    u = (k, tuple(a + b for a, b in zip(e, shift)))
+                    v = (work.get(u, 0) - factor * c) % p
+                    if v:
+                        work[u] = v
+                    else:
+                        work.pop(u, None)
+                break
+        else:
+            rem[t] = work.pop(t)
+    return rem
+
+
+def tuple_module_groebner_basis(rows, p):
+    """The reduced Groebner basis, each element monic and the list sorted by
+    lead, of the submodule that the rows (lists of Poly, one per position)
+    span."""
+    G = [{(j, e): c for j, f in enumerate(row) for e, c in f.terms.items()} for row in rows]
+    G = [_module_record(g, p) for g in G if g]
+    heap = []
+
+    def add_pairs(j):
+        for i in range(j):
+            (pi, ei), (pj, ej) = G[i][0], G[j][0]
+            if pi == pj:
+                lcm = tuple(map(max, ei, ej))
+                heapq.heappush(heap, (_grevlex_key(lcm), i, j, lcm))
+
+    for j in range(1, len(G)):
+        add_pairs(j)
+    while heap:
+        _, i, j, lcm = heapq.heappop(heap)
+        work = {}
+        for (_, e), g in (G[i], G[j]):
+            shift, sign = tuple(a - b for a, b in zip(lcm, e)), 1 if g is G[i][1] else -1
+            for (k, m), c in g.items():
+                u = (k, tuple(a + b for a, b in zip(m, shift)))
+                work[u] = (work.get(u, 0) + sign * c) % p
+        r = _module_reduce({u: c for u, c in work.items() if c}, G, p)
+        if r:
+            G.append(_module_record(r, p))
+            add_pairs(len(G) - 1)
+    minimal = []
+    for lead, g in sorted(G, key=lambda rec: _module_key(rec[0])):
+        if not any(h[0] == lead[0] and _tuple_divides(h[1], lead[1]) for h, _ in minimal):
+            minimal.append((lead, g))
+    others = [minimal[:k] + minimal[k + 1 :] for k in range(len(minimal))]
+    return [_module_record(_module_reduce(g, rest, p), p)[1] for (_, g), rest in zip(minimal, others)]
+
+
+def module_leads(rows, p):
+    """The leads (j, exps) of the oracle's reduced basis of the rows."""
+    return {max(g, key=_module_key) for g in tuple_module_groebner_basis(rows, p)}
+
+
+def module_hilbert(rows, twists, nvars, p, degrees):
+    """dim (F / M)_t for each t in ``degrees``, F the free module with basis
+    e_j of degree -twists[j], counted from the leads of the oracle's basis."""
+    leads = module_leads(rows, p)
+    return [
+        sum(
+            not any(k == j and _tuple_divides(e, m) for k, e in leads)
+            for j, a in enumerate(twists) for m in all_monomials(nvars, t + a) if t + a >= 0
+        )
+        for t in degrees
+    ]

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from pnbundles import bundles, poly
+from pnbundles import bundles
 from pnbundles.betti import BettiPair, generalizes
 from pnbundles.bundles import (
     PresMatrix,
@@ -29,10 +29,10 @@ from pnbundles.errors import (
     ShapeError,
 )
 from pnbundles.hilbert import hilbert_of_betti
-from pnbundles.poly import Poly, format_poly, monomials
+from pnbundles.poly import Poly, format_poly, monomials, parse_poly
 from pnbundles.seqs import IntSeq
 
-from _oracles import fp_rank
+from _oracles import full_basis_m_primary, fp_rank, leibniz_maximal_minors, module_hilbert
 
 P = 32003
 
@@ -126,28 +126,111 @@ def test_verify_bundle_zero_block_failures():
             assert verify_bundle(m) is False
 
 
-def test_verify_bundle_bounds_its_minors(monkeypatch):
-    # the counterexample's C(5, 1) = 5 minors, at and past the bound; a
-    # 5 x 1 matrix over P^5 (r < n) takes no minor, so the bound is not met
+def disguised(m, rng):
+    """m under random graded row and column operations, which keep its cokernel."""
+    a, b, rows = m.pair.a.entries, m.pair.b.entries, [list(row) for row in m.rows]
+
+    def form(d):
+        return Poly(m.p, m.pair.n + 1, {e: rng.randrange(m.p) for e in monomials(m.pair.n + 1, d)})
+
+    # row i += f * row k with deg f = b_k - b_i, then column j += g * column k with deg g = a_j - a_k
+    for _ in range(4):
+        i, k = rng.sample(range(len(b)), 2)
+        if b[k] >= b[i]:
+            f = form(b[k] - b[i])
+            rows[i] = [e + f * ek for e, ek in zip(rows[i], rows[k])]
+        if len(a) > 1:
+            j, k = rng.sample(range(len(a)), 2)
+            if a[j] >= a[k]:
+                g = form(a[j] - a[k])
+                for row in rows:
+                    row[j] = row[j] + g * row[k]
+    return PresMatrix(m.pair, m.p, rows)
+
+
+def vanishing_at_a_point(m, rng):
+    """m with every entry of positive degree d moved by a multiple of x_0^d
+    so that it vanishes at a random point with x_0 = 1: not a bundle."""
+    n, p = m.pair.n, m.p
+    point = [1] + [rng.randrange(p) for _ in range(n)]
+
+    def at_point(f):
+        total = 0
+        for e, c in f.terms.items():
+            for x, k in zip(point, e):
+                c = c * pow(x, k, p) % p
+            total += c
+        return total
+
+    return PresMatrix(m.pair, p, [[e - Poly.const(at_point(e), p, n + 1) * Poly.variable(0, p, n + 1, e.degree())
+                                   if e.degree() > 0 else e for e in row] for row in m.rows])
+
+
+def test_verify_bundle_matches_the_minors_oracle():
+    # the module loop against the maximal minors by the permutation sum and the leads of their whole reduced basis
+    from test_prediction import random_r_below_n_matrix, random_r_equal_n_matrix
+
+    rng = random.Random(2026)
+
+    def n_plus_one():  # a pair with r = n + 1 <= 4 and l <= 2, admissible or not
+        n, l = rng.randint(1, 3), rng.randint(1, 2)
+        a, b = (sorted(rng.randint(lo, lo + 1) for _ in range(k)) for lo, k in ((1, l), (0, l + n + 1)))
+        return BettiPair(n, a, b)
+
+    admissible = []
+    while len(admissible) < 10:
+        pair = n_plus_one()
+        if pair.is_admissible():
+            admissible.append(pair)
+    families = {
+        "r < n": [random_r_below_n_matrix(rng) for _ in range(20)],
+        "r = n": [random_r_equal_n_matrix(rng) for _ in range(40)],
+        "r = n + 1": [random_minimal_map(n_plus_one(), P, rng.getrandbits(32)) for _ in range(20)],
+        "disguised": [disguised(explicit_matrix(pair, P), rng) for pair in admissible],
+        "hidden point": [vanishing_at_a_point(random_minimal_map(p, P, rng.getrandbits(32)), rng) for p in admissible],
+    }
+    verdicts = {}
+    for family, matrices in families.items():
+        for m in matrices:
+            minors = leibniz_maximal_minors(m.rows, m.pair.l, m.p, m.pair.n + 1)
+            want = full_basis_m_primary([f for f in minors if f], m.pair.n + 1)
+            assert verify_bundle(m) is want, (family, m.to_json())
+            verdicts.setdefault(family, set()).add(want)
+    assert verdicts == {"r < n": {True, False}, "r = n": {True, False}, "r = n + 1": {True, False},
+                        "disguised": {True}, "hidden point": {False}}
+
+
+def test_verify_bundle_answers_zero_rows_and_columns_before_the_loop(monkeypatch):
+    monkeypatch.setattr(bundles, "_buchberger", lambda *args: pytest.fail("the loop ran"))
+    # the counterexample: three of its five rows are zero, which leaves r = 1 < n = 3
     m = PresMatrix.from_json({
         "n": 3, "p": P, "a": [2], "b": [0, 0, 0, 1, 1], "entries": [["x0^2"], ["0"], ["0"], ["x3"], ["0"]],
     })
-    monkeypatch.setattr(bundles, "MAX_MINORS", 5)
     assert verify_bundle(m) is False
-    monkeypatch.setattr(bundles, "MAX_MINORS", 4)
-    with pytest.raises(BadInput, match="4"):
-        verify_bundle(m)
     assert verify_bundle(PresMatrix(BettiPair(5, [1], [0] * 5), P, [[Poly.zero(P, 6)]] * 5)) is False
+    # r = n = 1 and no zero row, but a zero column: the quotient has a free summand
+    x0, x1, zero = Poly.variable(0, P, 2), Poly.variable(1, P, 2), Poly.zero(P, 2)
+    rows = [[x0, zero], [x1, zero], [x0 + x1, zero]]
+    assert verify_bundle(PresMatrix(BettiPair(1, [1, 1], [0, 0, 0]), P, rows)) is False
 
 
-def test_verify_bundle_bounds_the_minors_of_the_minimal_part(monkeypatch):
-    # the counterexample plus a unit summand: C(6, 2) = 15 minors of the
-    # whole matrix, C(5, 1) = 5 of its minimal part
+def test_verify_bundle_drops_the_zero_rows_of_the_minimal_part(monkeypatch):
+    # the counterexample plus a unit summand: its minimal part is the
+    # counterexample, which is answered before the loop
     zero, one = Poly.zero(P, 4), Poly.const(1, P, 4)
     column = [Poly.variable(0, P, 4, 2), zero, zero, Poly.variable(3, P, 4), zero]
     m = PresMatrix(BettiPair(3, [1, 2], [0, 0, 0, 1, 1, 1]), P, [[zero, e] for e in column] + [[one, zero]])
-    monkeypatch.setattr(bundles, "MAX_MINORS", 5)
+    loop = bundles._buchberger
+    monkeypatch.setattr(bundles, "_buchberger", lambda *args: pytest.fail("the loop ran"))
     assert verify_bundle(m) is False
+    # over P^1 the zero row leaves r = n, where the prediction drives the loop: x0^2 + x1^2 and x0*x1 certify no
+    # variable by their leads, and cut out only the origin
+    predictions, predict = [], bundles._hilbert_prediction
+    monkeypatch.setattr(bundles, "_buchberger", loop)
+    monkeypatch.setattr(bundles, "_hilbert_prediction", lambda *args: predictions.append(args) or predict(*args))
+    rows = [[parse_poly(t, P, 2)] for t in ("x0^2 + x1^2", "x0*x1", "0")]
+    assert verify_bundle(PresMatrix(BettiPair(1, [2], [0, 0, 0]), P, rows)) is True
+    assert [pair for pair, _ in predictions] == [BettiPair(1, [2], [0, 0])]
 
 
 def test_is_minimal_reads_the_entry_degrees():
@@ -479,14 +562,16 @@ def test_pres_matrix_refusals(entry, error, message):
     assert info.type is error and str(info.value) == message
 
 
-def test_verify_bundle_bounds_the_cofactor_expansion(monkeypatch):
-    # linear forms over P^1 fill every column, so the expansion keeps the
-    # subdeterminants of every size from 1 to l: 2^17 - 2 for 17 x 16 and
-    # 2^18 - 1 for 19 x 9, where the minors are only 17 and 92,378
-    monkeypatch.setattr(poly, "_minors", lambda *args: pytest.fail("a minor was taken"))
-    for l, r in ((16, 1), (9, 10)):
+def test_verify_bundle_answers_wide_matrices_of_linear_forms():
+    # a cofactor expansion of the minors would keep 2^17 - 2 subdeterminants
+    # for 17 x 16 and 2^18 - 1 for 19 x 9; the loop takes the rows instead.
+    # The module oracle's quotient, generated in degree -1, vanishes in
+    # degree 15 and 0, so both are bundles; 42 x 40 took the oracle 3 s and
+    # is checked for time only
+    for l, r, zero_at in ((16, 1, 15), (9, 10, 0), (40, 2, None)):
         m = random_minimal_map(BettiPair(1, [1] * l, [0] * (l + r)), P, 1)
         start = time.perf_counter()
-        with pytest.raises(BadInput, match=str(bundles.MAX_MINORS)):
-            verify_bundle(m)
+        assert verify_bundle(m) is True
         assert time.perf_counter() - start < 1
+        if zero_at is not None:
+            assert module_hilbert(m.rows, [1] * l, 2, P, [zero_at]) == [0]

@@ -253,8 +253,8 @@ def test_maximal_minors_against_leibniz():
         [["x0^3 + x1 + 2", "x2"], ["3", "x0*x1 + x2^2 + 1"], ["x1^2*x2 + x0", "4*x1"]],
         # an all-zero column
         [["x0", "0"], ["x1^2 + x2", "0"], ["x2", "0"]],
-        # column degrees summing to 7 and to 8: the packing's room, twice the sum, is 14 and 16, on either side of
-        # the largest value a 4-bit field holds
+        # column degrees summing to 7 and to 8: the packing's room, the sum, is 7 and 8, on either side of
+        # the largest value a 3-bit field holds
         [["x0^4", "x1^3"], ["x2^4 + x1", "x0^3"]],
         [["x0^4", "x1^4"], ["x2^4 + x1", "x0^4"]],
         [["x0^3", "x1", "0"], ["x1^3", "x0^3", "x2"], ["x2", "x2^3", "x0^2"], ["1", "0", "x1^2"]],

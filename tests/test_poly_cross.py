@@ -2,6 +2,7 @@
 
 import random
 from itertools import combinations
+from operator import le
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,10 @@ sympy = pytest.importorskip("sympy")
 from pnbundles.betti import BettiPair
 from pnbundles.bundles import PresMatrix, minimize_presentation, random_minimal_map, verify_bundle
 from pnbundles.errors import NotABundle
-from pnbundles.poly import Ideal, Poly, groebner_basis, maximal_minors, monomials, normal_form
+from pnbundles.poly import Ideal, Poly, groebner_basis, maximal_minors, normal_form, parse_poly
+
+from _oracles import module_leads, tuple_module_groebner_basis
+from test_bundles import disguised
 
 PRIMES = (7, 101, 32003)
 
@@ -90,7 +94,7 @@ def test_normal_form_matches_sympy_reduction():
     ((1, 2), (0, 0, 0, 1, 1), False),  # a_1 <= b_4: a zero block
 ])
 def test_minor_ideals_match_sympy(a, b, bundle):
-    # the inputs that verify_bundle hands to the engine
+    # the ideals whose zeros verify_bundle decides, through the rows
     m = random_minimal_map(BettiPair(3, a, b), 32003, seed=7)
     assert verify_bundle(m) is bundle
     minors = list(dict.fromkeys(f for f in maximal_minors(m.rows, len(a)) if f))
@@ -148,23 +152,7 @@ def disguised_unit_summands(rng, p=32003):
     rs = sorted(range(len(twists_b)), key=twists_b.__getitem__)
     cs = sorted(range(len(twists_a)), key=twists_a.__getitem__)
     rows = [[block[i][j] for j in cs] for i in rs]
-    bs, as_ = sorted(twists_b), sorted(twists_a)
-
-    def form(d):
-        return Poly(p, n + 1, {e: rng.randrange(p) for e in monomials(n + 1, d)})
-
-    for _ in range(4):  # row i += f * row k with deg f = b_k - b_i, then col j += g * col k with deg g = a_j - a_k
-        i, k = rng.sample(range(len(bs)), 2)
-        if bs[k] >= bs[i]:
-            f = form(bs[k] - bs[i])
-            rows[i] = [e + f * ek for e, ek in zip(rows[i], rows[k])]
-        if len(as_) > 1:
-            j, k = rng.sample(range(len(as_)), 2)
-            if as_[j] >= as_[k]:
-                g = form(as_[j] - as_[k])
-                for row in rows:
-                    row[j] = row[j] + g * row[k]
-    return PresMatrix(BettiPair(n, as_, bs), p, rows), phi
+    return disguised(PresMatrix(BettiPair(n, sorted(twists_a), sorted(twists_b)), p, rows), rng), phi
 
 
 def test_non_minimal_verdicts_match_sympy():
@@ -182,3 +170,32 @@ def test_non_minimal_verdicts_match_sympy():
                 minimize_presentation(m)
         verdicts.append(want)
     assert True in verdicts and False in verdicts
+
+
+def sympy_module_leads(rows, p):
+    """The leads (j, exps) of a minimal Groebner basis of the submodule that
+    the rows span, from sympy's agca: grevlex, then the index (TOP)."""
+    xs = sympy.symbols(f"x0:{rows[0][0].nvars}")
+    ring = sympy.GF(p).old_poly_ring(*xs, order="grevlex")
+    module = ring.free_module(len(rows[0])).submodule(*[[to_sympy(e, xs) for e in row] for row in rows])
+    leads = {(g[0][0][0], tuple(g[0][0][1:])) for g in module._groebner()}
+    return {(j, e) for j, e in leads if not any(k == j and f != e and all(map(le, f, e)) for k, f in leads)}, module
+
+
+@pytest.mark.parametrize("rows", [
+    # x0*e0 and x1*e0 + e1: coprime leads whose S-polynomial, -x0*e1, is a new lead
+    [["x0", "0"], ["x1", "1"]],
+    [["x0^2", "x1"], ["x1^2", "x2"], ["x2^2", "x0"]],
+    [["x0", "x1", "x2"], ["x1", "x2", "0"], ["x2", "0", "x0"], ["x0 + x1", "x1", "x1 + x2"]],
+], ids=["coprime-leads", "3x2", "4x3"])
+def test_module_oracle_matches_sympy(rows):
+    rows = [[parse_poly(t, 101, 3) for t in row] for row in rows]
+    leads, module = sympy_module_leads(rows, 101)
+    assert module_leads(rows, 101) == leads
+    # the oracle's basis lies in the module, and its leads are the module's: it is a Groebner basis of it
+    xs = sympy.symbols("x0:3")
+    for g in tuple_module_groebner_basis(rows, 101):
+        vector = [0] * len(rows[0])
+        for (j, e), c in g.items():
+            vector[j] += to_sympy(Poly(101, 3, {e: c}), xs)
+        assert module.contains(vector)

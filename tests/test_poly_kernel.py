@@ -10,6 +10,8 @@ first certificate, and ``_oracles`` keeps the test that read the leads of the
 whole reduced basis.
 """
 
+from operator import le
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,7 +31,14 @@ from pnbundles.poly import (
     parse_poly,
 )
 
-from _oracles import full_basis_m_primary, tuple_groebner_basis, tuple_normal_form, tuple_product
+from _oracles import (
+    full_basis_m_primary,
+    module_hilbert,
+    module_leads,
+    tuple_groebner_basis,
+    tuple_normal_form,
+    tuple_product,
+)
 
 # the (a, b) shapes, all over P^3, of the benchmark's check-bundles and
 # check-degenerate documents
@@ -154,8 +163,8 @@ def record_caps(monkeypatch) -> list:
     caps = []
 
     class Recording(poly._Packing):
-        def __init__(self, nvars, degree):
-            super().__init__(nvars, degree)
+        def __init__(self, *args):
+            super().__init__(*args)
             caps.append(self.cap)
 
     monkeypatch.setattr(poly, "_Packing", Recording)
@@ -194,15 +203,58 @@ def test_minors_pack_once_and_build_one_poly_per_minor(monkeypatch, a, b):
 
 
 @pytest.mark.parametrize("a,b", SHAPES)
-def test_verify_bundle_packs_its_minors_once_and_builds_no_poly(monkeypatch, a, b):
-    # the loop takes the matrix and packs its minors once; only a widening packs again, and wider
+def test_verify_bundle_packs_its_rows_once_and_builds_no_poly(monkeypatch, a, b):
+    # the loop takes the matrix and packs its rows once; only a widening packs again, and wider
     m = random_minimal_map(BettiPair(3, a, b), 32003, 1)
-    caps, polys = record_caps(monkeypatch), []
+    caps, polys, packs, pack_rows = record_caps(monkeypatch), [], [], poly._pack_rows
     init = Poly.__init__
     monkeypatch.setattr(Poly, "__init__", lambda self, *args: polys.append(self) or init(self, *args))
+    monkeypatch.setattr(poly, "_pack_rows", lambda *args: packs.append(args) or pack_rows(*args))
     verify_bundle(m)
-    assert polys == [] and caps
+    assert polys == [] and len(packs) == min(len(caps), 1)  # no packing when the answer comes before the loop
     assert all(old < new for old, new in zip(caps, caps[1:]))
+
+
+def engine_leads(rows, twists, nvars):
+    """The leads (j, exps) of a minimal Groebner basis from the loop taken to the end."""
+    G, pk = poly._buchberger(rows, twists, 32003, nvars, False)
+    leads = {(pk.position(g), pk.unpack(g)) for g, _ in G}
+    return {(j, e) for j, e in leads if not any(k == j and f != e and all(map(le, f, e)) for k, f in leads)}
+
+
+def three_vars_rows(*rows):
+    return [[parse_poly(t, 32003, 3) for t in row] for row in rows]
+
+
+@pytest.mark.parametrize("rows,twists", [
+    # x0*e0 and x1*e0 + e1 have coprime leads, but their S-polynomial -x0*e1 does not reduce to zero
+    (three_vars_rows(["x0", "0"], ["x1", "1"]), (0, 1)),
+    (random_minimal_map(BettiPair(3, (1, 1, 1), (0,) * 6), 32003, 1).rows, (1, 1, 1)),
+    (random_minimal_map(BettiPair(3, (2, 2), (0, 0, 0, 1, 1)), 32003, 2).rows, (2, 2)),
+    (random_minimal_map(BettiPair(2, (2, 2), (0, 0, 0, 1, 1)), 32003, 3).rows, (2, 2)),  # not a bundle: a_2 <= b_4
+])
+def test_module_leads_match_the_tuple_oracle(rows, twists):
+    # with equal twists, or degrees that agree with them here, the loop's order is the oracle's:
+    # grevlex, then the position
+    nvars = rows[0][0].nvars
+    assert engine_leads(rows, twists, nvars) == module_leads(rows, 32003)
+    if twists == (0, 1):
+        assert (1, (1, 0, 0)) in module_leads(rows, 32003)
+
+
+@pytest.mark.parametrize("a,b", SHAPES[:6])
+def test_module_hilbert_function_matches_the_tuple_oracle(a, b):
+    # any order gives the leads of a homogeneous module the Hilbert function of its quotient; on these bundles
+    # it vanishes from degree sum(a) + 2 max(a) - sum(b) - 3 on
+    m = random_minimal_map(BettiPair(3, a, b), 32003, 1)
+    degrees = range(-max(a), sum(a) + 2 * max(a) - sum(b) - 2)
+    leads = engine_leads(m.rows, a, 4)
+    counts = [
+        sum(not any(k == j and all(map(le, e, x)) for k, e in leads)
+            for j, aj in enumerate(a) for x in monomials(4, t + aj))
+        for t in degrees
+    ]
+    assert counts == module_hilbert(m.rows, a, 4, 32003, degrees) and counts[-1] == 0
 
 
 def test_no_reduction_before_a_certificate(monkeypatch):

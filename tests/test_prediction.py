@@ -1,9 +1,12 @@
-"""The bundle test's exits that read the twists: the Eagon-Northcott Hilbert
-function that drives the Buchberger loop when r = n, the exit without a
-minor when r < n, and the bound that keeps the prediction off large inputs.
+"""The bundle test's exits that read the twists: the Buchsbaum-Rim Hilbert
+function of the quotient by the rows that drives the Buchberger loop when
+r = n, the exit before the loop when r < n, and the bound that keeps the
+prediction off large inputs.
 
-Every verdict is checked against ``_oracles.full_basis_m_primary``, which
-reads the leads of the whole reduced basis, and some against sympy.
+The prediction is checked against the Hilbert function of the leads of
+``_oracles.tuple_module_groebner_basis``, and every verdict against
+``_oracles.full_basis_m_primary`` on the maximal minors, which reads the
+leads of the whole reduced basis of their ideal, and some against sympy.
 """
 
 import random
@@ -12,12 +15,12 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from pnbundles import bundles, poly
+from pnbundles import bundles
 from pnbundles.betti import BettiPair
 from pnbundles.bundles import PresMatrix, explicit_matrix, random_matrix, random_minimal_map, verify_bundle
-from pnbundles.poly import Ideal, Poly, groebner_basis, maximal_minors, monomials
+from pnbundles.poly import Ideal, Poly, maximal_minors, monomials
 
-from _oracles import full_basis_m_primary
+from _oracles import full_basis_m_primary, module_hilbert
 
 P = 32003
 predict = bundles._hilbert_prediction
@@ -29,16 +32,7 @@ def minors_of(m):
 
 def top_degree(pair):
     a, b, n = pair.a.entries, pair.b.entries, pair.n
-    return sum(a) + n * max(a) - sum(b) - n
-
-
-def leads_hilbert(gens, nvars, top):
-    """dim (R/I)_t for t = 0..top, counted from the leads of the reduced basis."""
-    leads = [g.lead_exps() for g in groebner_basis(gens)]
-    return [
-        sum(not any(all(x >= y for x, y in zip(e, g)) for g in leads) for e in monomials(nvars, t))
-        for t in range(top + 1)
-    ]
+    return sum(a) + (n - 1) * max(a) - sum(b) - n
 
 
 def admissible_r_equal_n():
@@ -58,13 +52,14 @@ R_EQUAL_N = list(admissible_r_equal_n())
 def test_prediction_is_the_hilbert_function_of_the_leads(pair):
     top = top_degree(pair)
     predicted = bundles._hilbert_prediction(pair, top)
-    # the socle of R/I sits in degree top - 1, and h vanishes from top on
-    assert predicted[top - 1] > 0 and predicted[top] == 0
+    # Q starts with the e_j of the largest twist, its socle sits in degree top - 1, and h vanishes from top on
+    assert list(predicted) == list(range(-max(pair.a), top + 1))
+    assert predicted[-max(pair.a)] == pair.a.count(max(pair.a)) and predicted[top - 1] > 0 and predicted[top] == 0
     seeds = [("explicit", explicit_matrix(pair, P))] + [(s, random_matrix(pair, P, s)) for s in (1, 2)]
     for seed, m in seeds:
-        gens = minors_of(m)
-        if full_basis_m_primary(gens, pair.n + 1):
-            assert leads_hilbert(gens, pair.n + 1, top) == list(predicted.values()), seed
+        if full_basis_m_primary(minors_of(m), pair.n + 1):
+            got = module_hilbert(m.rows, pair.a.entries, pair.n + 1, P, list(predicted))
+            assert got == list(predicted.values()), seed
 
 
 def random_r_equal_n_matrix(rng):
@@ -104,8 +99,9 @@ def prod_pow(point, e, p):
 
 
 def test_r_equal_n_verdicts_match_the_full_basis_scan(monkeypatch):
-    predictions = []
+    predictions, loops, loop = [], [], bundles._buchberger
     monkeypatch.setattr(bundles, "_hilbert_prediction", lambda *args: predictions.append(args) or predict(*args))
+    monkeypatch.setattr(bundles, "_buchberger", lambda *args: loops.append(args[5] is not None) or loop(*args))
     rng = random.Random(20261019)
     verdicts = []
     for _ in range(400):
@@ -117,7 +113,9 @@ def test_r_equal_n_verdicts_match_the_full_basis_scan(monkeypatch):
     assert {v[0] for v in verdicts} == {True, False}
     assert {v[1] for v in verdicts} == {True, False} and {v[2] for v in verdicts} == {True, False}
     assert (True, False, True) not in verdicts  # a minimal matrix of a non-admissible pair is never a bundle
-    assert len(predictions) > 250  # most reach the loop that the prediction drives
+    # every matrix that reaches the loop gets the prediction, since zero rows only lower r and r < n exits before it;
+    # over half of the 400 compute it, the rest being answered by a split, a zero column or r < n, or by their rows
+    assert loops and all(loops) and len(predictions) > 200
 
 
 def test_r_equal_n_verdicts_match_sympy():
@@ -159,9 +157,9 @@ def refuse(*args):
 
 
 def test_r_below_n_without_a_degree_zero_minor_takes_no_minor(monkeypatch):
-    # four random linear forms over P^1000: every minor has degree 1
+    # four random linear forms over P^1000: the minimal matrix has r = 3 < n, answered before the loop
     m = random_minimal_map(BettiPair(1000, (1,), (0, 0, 0, 0)), P, 1)
-    monkeypatch.setattr(poly, "_minors", refuse)
+    monkeypatch.setattr(bundles, "_buchberger", refuse)
     assert verify_bundle(m) is False
 
 
@@ -174,7 +172,7 @@ def squares_and_a_product(n):
 
 
 def test_large_n_takes_the_plain_path(monkeypatch):
-    # top = 62 over P^60: the top degree has C(122, 60) monomials
+    # top = 60 over P^60: degree top + max a = 62 has C(122, 60) monomials
     monkeypatch.setattr(bundles, "_hilbert_prediction", refuse)
     assert verify_bundle(squares_and_a_product(60)) is False
 
@@ -193,8 +191,9 @@ def test_dependent_minors_reduce_to_zero_as_they_join():
     # few reduce to zero by the elements before them instead of making pairs
     m = random_minimal_map(BettiPair(1, [1] * 7, [0] * 15), P, 1)
     start = time.perf_counter()
-    assert verify_bundle(m) is True
+    assert Ideal(maximal_minors(m.rows, 7)).is_m_primary_or_unit() is True
     assert time.perf_counter() - start < 10
+    assert verify_bundle(m) is True
     # the minors of rows 0-6 and 8-14 generate an m-primary ideal J; I contains J, so I is m-primary too
     some = [maximal_minors(m.rows[k : k + 7], 7)[0] for k in (0, 8)]
     assert full_basis_m_primary(some, 2) is True
