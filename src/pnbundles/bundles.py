@@ -28,7 +28,7 @@ from .errors import (
     NotGeneralization,
     ShapeError,
 )
-from .poly import Poly, _buchberger, check_prime, format_poly, monomials, parse_poly
+from .poly import Poly, _buchberger, _Packing, _sub_multiple, check_prime, format_poly, monomials, parse_poly
 from .seqs import Frozen, IntSeq, json_int
 
 # random_minimal_map draws one coefficient for every monomial of every entry;
@@ -213,22 +213,26 @@ def _units(a, b, rows):
 def _split_units(m: PresMatrix) -> tuple[BettiPair, list]:
     """The minimal pair and rows: while a unit is left, the first one clears
     its column by row operations and is deleted with its row and column,
-    which removes one source and one target twist of equal value."""
-    pair, rows = m.pair, m.rows
+    which removes one source and one target twist of equal value.  The
+    entries are packed once, and unpacked once at the end: a row operation
+    keeps the entry at (i, j) of degree a_j - b_i, so the packing holds
+    max a - min b throughout, and a unit is the constant term, packed 0."""
+    pair, p, nvars = m.pair, m.p, m.pair.n + 1
     a, b = list(pair.a.entries), list(pair.b.entries)
+    if next(_units(a, b, m.rows), None) is None:
+        return pair, m.rows
+    pk, keys = _Packing(nvars, a[-1] - b[0], (0,)), []  # keys: unread, a row operation needs no order
+    rows = [[pk.pack_terms(e.terms) for e in row] for row in m.rows]
     while (pivot := next(_units(a, b, rows), None)) is not None:
         i0, j0 = pivot
-        piv_row = rows[i0]
-        cinv = pow(*piv_row[j0].terms.values(), -1, m.p)  # a unit has one term
-        cleared = []
-        for i, row in enumerate(rows):
-            if i != i0:
-                if row[j0]:
-                    factor = row[j0].scale(cinv)
-                    row = [e - factor * pe for e, pe in zip(row, piv_row)]
-                cleared.append(row[:j0] + row[j0 + 1 :])
-        rows = cleared
+        piv_row = rows.pop(i0)
+        cinv = pow(piv_row.pop(j0)[0], -1, p)
+        for row in rows:  # row -= (row[j0] / unit) * piv_row, term by term of row[j0]
+            for t, c in row.pop(j0).items():
+                for e, pe in zip(row, piv_row):
+                    _sub_multiple(e, keys, c * cinv, t, pe.items(), p)
         del a[j0], b[i0]
+    rows = [[Poly(p, nvars, pk.unpack_terms(e)) for e in row] for row in rows]
     return (pair if len(a) == pair.l else BettiPair(pair.n, a, b)), rows
 
 
@@ -357,7 +361,7 @@ class DeformFamily:
     def at(self, t: int) -> PresMatrix:
         s = t % self.prime
         rows = [
-            [pe + fe.scale(s) for pe, fe in zip(prow, frow)]
+            [pe + fe.scale(s) if fe else pe for pe, fe in zip(prow, frow)]
             for prow, frow in zip(self.psi.rows, self._phi_prime)
         ]
         return PresMatrix(self.big, self.prime, rows)

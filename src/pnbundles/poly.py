@@ -387,7 +387,10 @@ def _buchberger(rows, twists, p: int, nvars: int, certify: bool, predict=None):
     function {t: h(t)}, zero elsewhere, of a quotient of finite length.  The
     loop keeps the standard terms of the current degree t, skips the rest of
     its entries once they number h(t), and returns the records so far once
-    they fall below h(t), end degree t above it, or the heap empties."""
+    they fall below h(t), end degree t above it, or the heap empties.  No
+    pair is made above the last degree of h plus one: there h is zero, so
+    the loop has returned by then, or skips every later entry.  The chain
+    criterion is unchanged, as lcm(i, k) divides lcm(i, j) when it applies."""
     inputs, pk = _pack_rows(rows, twists, nvars)
     heap = sorted((max(work), -1, k) for k, work in enumerate(inputs) if work)  # sorted, so a heap
     G, leads, reads, pending = [], {}, [], set()  # reads: read_lead of G's leads; pending: the heap's pairs (i, j)
@@ -404,6 +407,7 @@ def _buchberger(rows, twists, p: int, nvars: int, certify: bool, predict=None):
     if certify and all(v == pk.full for v in powers):
         return None
     hilbert = predict() if predict else None
+    last = max(hilbert) + 1 if hilbert else float("inf")  # the pairs above it are never reduced: not made
     std, deg = set(), -pk.lift - 1  # the standard terms of twisted degree deg, packed: none below every e_j
 
     def add_pairs(j: int) -> None:
@@ -417,6 +421,9 @@ def _buchberger(rows, twists, p: int, nvars: int, certify: bool, predict=None):
         for i in (*mates, j):  # a lead is unpacked when it first makes a pair
             leads[i] = leads.get(i) or pk.unpack(G[i][0])
         lcms = [(i, tuple(map(max, leads[i], leads[j]))) for i in mates]
+        lcms = [(i, lcm) for i, lcm in lcms if sum(lcm) - twists[pos] <= last]
+        if not lcms:
+            return
         top = max(sum(lcm) for _, lcm in lcms) - twists[pos] + pk.lift
         if top > pk.cap:  # every term met while reducing a pair has at most its lcm's twisted degree
             old, pk = pk, _Packing(nvars, top, twists)

@@ -2,8 +2,9 @@
 
 Everything here recomputes expected values from first principles, without
 touching the code paths under test: Leibniz determinants, Macaulay-matrix
-leading terms, mod-p Gaussian elimination, dumb enumerations, and the
-Groebner engine's earlier kernel on exponent tuples.
+leading terms, mod-p Gaussian elimination, dumb enumerations, the
+Groebner engine's earlier kernel on exponent tuples, and the unit split on
+``Poly`` arithmetic.
 """
 
 import heapq
@@ -657,3 +658,33 @@ def module_hilbert(rows, twists, nvars, p, degrees):
         )
         for t in degrees
     ]
+
+
+def poly_split_units(m):
+    """The unit split on ``Poly`` arithmetic, the way ``bundles._split_units``
+    did it before it worked on packed terms: while a unit is left, the first
+    one by (row, column) clears its column by row operations, each a product
+    and a difference of polynomials, and is deleted with its row and column.
+    Returns the minimal pair and rows."""
+    from pnbundles.betti import BettiPair
+
+    pair, rows = m.pair, m.rows
+    a, b = list(pair.a.entries), list(pair.b.entries)
+
+    def units():
+        return ((i, j) for i, bi in enumerate(b) for j, aj in enumerate(a) if aj == bi and rows[i][j])
+
+    while (pivot := next(units(), None)) is not None:
+        i0, j0 = pivot
+        piv_row = rows[i0]
+        cinv = pow(*piv_row[j0].terms.values(), -1, m.p)  # a unit has one term
+        cleared = []
+        for i, row in enumerate(rows):
+            if i != i0:
+                if row[j0]:
+                    factor = row[j0].scale(cinv)
+                    row = [e - factor * pe for e, pe in zip(row, piv_row)]
+                cleared.append(row[:j0] + row[j0 + 1 :])
+        rows = cleared
+        del a[j0], b[i0]
+    return (pair if len(a) == pair.l else BettiPair(pair.n, a, b)), rows

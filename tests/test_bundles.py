@@ -488,24 +488,30 @@ def test_hilbert_consistency_of_random_matrices():
             assert h.value(t) == _graded_corank(m, t), (pair, t)
 
 
+def two_constant_pivots():
+    """A fiber of the family that embeds two identity slots in (0; -1^5)."""
+    small = BettiPair(3, [0], [-1] * 5)
+    return deform_family(small, small.add_common(IntSeq([0, 1])), P, seed=8).at(1)
+
+
 def test_minimize_two_constant_pivots():
     # embed two identity slots by hand and strip them off again
-    small = BettiPair(3, [0], [-1] * 5)
-    big = small.add_common(IntSeq([0, 1]))
-    fam = deform_family(small, big, P, seed=8)
-    got, reduced = minimize_presentation(fam.at(1))
-    assert got == small
+    got, reduced = minimize_presentation(two_constant_pivots())
+    assert got == BettiPair(3, [0], [-1] * 5)
     assert reduced.is_minimal
     assert len(reduced.rows) == 5 and got.l == 1
 
 
-def test_minimize_full_rank_constant_matrix():
-    # a 5x2 matrix of generic constants splits off both columns entirely
-    pair = BettiPair(3, [0, 0], [0, 0, 0, 0, 0])
+def full_rank_constants():
+    """A 5x2 matrix of generic constants."""
     rng = random.Random(55)
     rows = [[Poly.const(rng.randrange(1, P), P, 4) for _ in range(2)] for _ in range(5)]
-    m = PresMatrix(pair, P, rows)
-    got, reduced = minimize_presentation(m)
+    return PresMatrix(BettiPair(3, [0, 0], [0, 0, 0, 0, 0]), P, rows)
+
+
+def test_minimize_full_rank_constant_matrix():
+    # a 5x2 matrix of generic constants splits off both columns entirely
+    got, reduced = minimize_presentation(full_rank_constants())
     assert got == BettiPair(3, [], [0, 0, 0])
     assert reduced.rows == ((), (), ())
 
@@ -520,9 +526,8 @@ def test_minimize_rank_deficient_constants_rejected():
         minimize_presentation(PresMatrix(pair, P, rows))
 
 
-def test_minimize_cascading_pivots():
-    # clearing the first constant creates a new constant elsewhere; the loop
-    # must keep going until the matrix is honestly minimal
+def cascading_pivots():
+    """A matrix where clearing the first constant creates a new one elsewhere."""
     pair = BettiPair(3, [0, 0], [-1, 0, 0, 0, 0, 0])
     x0 = Poly.variable(0, P, 4)
     one = Poly.const(1, P, 4)
@@ -537,7 +542,13 @@ def test_minimize_cascading_pivots():
         [zero, zero],
         [zero, zero],
     ]
-    got, reduced = minimize_presentation(PresMatrix(pair, P, rows))
+    return PresMatrix(pair, P, rows)
+
+
+def test_minimize_cascading_pivots():
+    # clearing the first constant creates a new constant elsewhere; the loop
+    # must keep going until the matrix is honestly minimal
+    got, reduced = minimize_presentation(cascading_pivots())
     assert got == BettiPair(3, [], [-1, 0, 0, 0])
     assert reduced.is_minimal
 

@@ -10,6 +10,9 @@ first certificate, and ``_oracles`` keeps the test that read the leads of the
 whole reduced basis.
 """
 
+import os
+import random
+import sys
 from operator import le
 
 import pytest
@@ -39,6 +42,9 @@ from _oracles import (
     tuple_normal_form,
     tuple_product,
 )
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
+from workloads import BUNDLE_SHAPES  # noqa: E402
 
 # the (a, b) shapes, all over P^3, of the benchmark's check-bundles and
 # check-degenerate documents
@@ -213,6 +219,17 @@ def test_verify_bundle_packs_its_rows_once_and_builds_no_poly(monkeypatch, a, b)
     verify_bundle(m)
     assert polys == [] and len(packs) == min(len(caps), 1)  # no packing when the answer comes before the loop
     assert all(old < new for old, new in zip(caps, caps[1:]))
+
+
+def test_no_pair_above_the_prediction_widens_the_packing(monkeypatch):
+    # the benchmark's first two check-bundles documents at seed 1, the disguised (1,2; 0^5) and (2,2; 0^3,1,1): the
+    # pairs whose lcms passed the first packing all lie above the prediction's last degree plus one, and are not made
+    rng = random.Random(1)
+    for make, n, a, b in BUNDLE_SHAPES[:2]:
+        m = PresMatrix.from_json(make(n, a, b, rng)[0])
+        caps = record_caps(monkeypatch)
+        assert verify_bundle(m) is True
+        assert len(caps) == 1
 
 
 def engine_leads(rows, twists, nvars):
