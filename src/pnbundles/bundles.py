@@ -256,7 +256,7 @@ def verify_bundle(m: PresMatrix) -> bool:
         return False
     top = sum(a) + (n - 1) * a[-1] - sum(b) - n  # a bundle's Q vanishes from degree top on
     few = len(b) - len(a) == n and 0 <= top + a[-1] <= MAX_MONOMIALS and comb(top + a[-1] + n, n) <= MAX_MONOMIALS
-    predict = (lambda: _hilbert_prediction(BettiPair(n, a, b), top)) if few else None
+    predict = (top, lambda: _hilbert_prediction(BettiPair(n, a, b), top)) if few else None
     return _buchberger(rows, a, m.p, n + 1, True, predict) is None
 
 

@@ -264,7 +264,7 @@ class _Packing:
     ``cap``, which bounds the degree of the terms packed, so none carries
     into the next and a monomial plus a term packs their product."""
 
-    __slots__ = ("cap", "guard", "full", "ones", "lift", "top", "at", "_vars", "_shifts", "_pos")
+    __slots__ = ("cap", "guard", "full", "ones", "lift", "top", "low", "at", "_vars", "_shifts", "_pos")
 
     def __init__(self, nvars: int, degree: int, twists):
         width = max(degree, 1).bit_length() + 1  # one bit more, for the guard; a position needs a bit under it
@@ -273,7 +273,7 @@ class _Packing:
         self._shifts, self._pos = range(0, nvars * width, width), range(nvars * width, low, width)
         self.ones = sum(1 << s for s in self._shifts)
         self.full = self.ones << width - 1  # the exponents' guard bits: all the variables
-        self.top, self.lift = low + (nvars - 1) * width, max(twists)
+        self.low, self.top, self.lift = low, low + (nvars - 1) * width, max(twists)
         self.at = [(1 << s) + (self.lift - a << self.top) for s, a in zip(self._pos, twists)]  # e_j packed
         # x_i counts once in its own exponent field and once in each prefix sum from x0+...+x_i up
         self._vars, above = [0] * nvars, 0
@@ -288,6 +288,14 @@ class _Packing:
         cap = self.cap
         return tuple(m >> s & cap for s in self._shifts)
 
+    def lcm(self, f: int, g: int, j: int) -> int:
+        """The lcm of two terms at position j: the field-wise max of the exponents, then their prefix sums by one
+        multiply.  A sum is at most 2 cap, so no field carries; past cap the top field still reads its degree."""
+        full, ones = self.full, self.ones
+        m = ((((f | full) - g) & full) >> self.cap.bit_length()) * self.cap  # cap on the fields where f >= g
+        e = f & m | g & (full - ones - m)
+        return e + (((e * ones) & (2 * full - ones)) << self.low) + self.at[j]  # the sums, moved up from e's fields
+
     def position(self, m: int) -> int:
         return next(j for j, s in enumerate(self._pos) if m >> s & 1)
 
@@ -301,14 +309,15 @@ class _Packing:
         return {self.unpack(m): c for m, c in work.items()}
 
 
-def _pack_rows(rows, twists, nvars: int) -> tuple[list[dict], _Packing]:
+def _pack_rows(rows, twists, nvars: int, least: int = 0) -> tuple[list[dict], _Packing]:
     """The rows as packed elements sum_j row[j]*e_j, and their packing, with
-    room for 2(T + max a), T the top twisted degree of a term: while row k
-    waits in ``_buchberger`` every entry taken is below its lead, so a lead at
-    e_j has degree <= T + a_j, an lcm <= 2(T + a_j), a term met <= 2T + a_j + max a."""
+    room for 2(T + max a), T the top twisted degree of a term, and for
+    ``least``: while row k waits in ``_buchberger`` every entry taken is below
+    its lead, so a lead at e_j has degree <= T + a_j, an lcm <= 2(T + a_j), a
+    term met <= 2T + a_j + max a."""
     lift = max(twists)
     room = max((e.degree() + lift - a for row in rows for e, a in zip(row, twists) if e), default=0)
-    pk = _Packing(nvars, 2 * room, twists)
+    pk = _Packing(nvars, max(2 * room, least), twists)
     return [{pk.pack(m) + at: c for e, at in zip(row, pk.at) for m, c in e.terms.items()} for row in rows], pk
 
 
@@ -338,9 +347,11 @@ def _sub_multiple(work: dict, keys: list, factor: int, shift: int, terms, p: int
                 del work[m]
 
 
-def _reduce(work: dict, records, p: int, guard: int, keys: list | None = None) -> dict:
+def _reduce(work: dict, records, p: int, guard: int, keys: list | None = None, std=()) -> dict:
     """The division loop, which consumes work: the leading term is divided by
     the first record whose lead divides it, or else moved to the remainder.
+    A term in ``std``, which holds only terms that no lead divides, moves
+    there without a scan.
 
     The heap ``keys`` holds the negated key of every term of work (all of
     them when omitted), and may hold stale keys of terms that have cancelled
@@ -356,7 +367,7 @@ def _reduce(work: dict, records, p: int, guard: int, keys: list | None = None) -
         c = work.pop(m, 0)
         if c:
             t = m | guard
-            for g, tail in records:
+            for g, tail in records if m not in std else ():
                 if (t - g) & guard == guard:
                     _sub_multiple(work, keys, c, m - g, tail, p)
                     break
@@ -383,17 +394,20 @@ def _buchberger(rows, twists, p: int, nvars: int, certify: bool, predict=None):
     power of every variable, so that the quotient has finite length.  Row k
     waits on the heap as (packed lead, -1, k) and joins as a remainder.
 
-    ``predict``, called only when no row certifies, gives the Hilbert
-    function {t: h(t)}, zero elsewhere, of a quotient of finite length.  The
-    loop keeps the standard terms of the current degree t, skips the rest of
-    its entries once they number h(t), and returns the records so far once
-    they fall below h(t), end degree t above it, or the heap empties.  No
-    pair is made above the last degree of h plus one: there h is zero, so
-    the loop has returned by then, or skips every later entry.  The chain
+    ``predict`` is (top, thunk): the thunk, called only when no row
+    certifies, gives the Hilbert function {t: h(t)}, zero elsewhere and from
+    top on, of a quotient of finite length.  The loop keeps the standard
+    terms of the current degree t, moves those of an entry straight to its
+    remainder, skips the rest of its entries once they number h(t), and
+    returns the records so far once they fall below h(t), end degree t above
+    it, or the heap empties.  No pair is made above top + 1: there h is
+    zero, so the loop has returned by then, or skips every later entry.  So
+    the first packing holds that degree, and never widens.  The chain
     criterion is unchanged, as lcm(i, k) divides lcm(i, j) when it applies."""
-    inputs, pk = _pack_rows(rows, twists, nvars)
+    last = predict[0] + 1 if predict else float("inf")  # the pairs above it are never reduced: not made
+    inputs, pk = _pack_rows(rows, twists, nvars, last + max(twists) if predict else 0)
     heap = sorted((max(work), -1, k) for k, work in enumerate(inputs) if work)  # sorted, so a heap
-    G, leads, reads, pending = [], {}, [], set()  # reads: read_lead of G's leads; pending: the heap's pairs (i, j)
+    G, reads, pending = [], [], set()  # reads: read_lead of G's leads; pending: the heap's pairs (i, j)
     powers = [0] * len(twists)  # per position, the variables with a pure-power lead there; all once a lead is e_j
 
     def read_lead(lead: int) -> tuple[int, int]:  # its variables, as the guard bits that survive less 1; its position
@@ -406,34 +420,29 @@ def _buchberger(rows, twists, p: int, nvars: int, certify: bool, predict=None):
         read_lead(lead)
     if certify and all(v == pk.full for v in powers):
         return None
-    hilbert = predict() if predict else None
-    last = max(hilbert) + 1 if hilbert else float("inf")  # the pairs above it are never reduced: not made
+    hilbert = predict[1]() if predict else None
     std, deg = set(), -pk.lift - 1  # the standard terms of twisted degree deg, packed: none below every e_j
 
     def add_pairs(j: int) -> None:
         nonlocal pk, std
         # Leads that share no variable make no pair, which the chain criterion counts as treated: for an ideal their
         # S-polynomial reduces to zero.  In a module it need not (x*e1 and y*e1 + e2 give -x*e2), so there all meet.
-        support, pos = reads[j]
-        mates = [i for i, (s, q) in enumerate(reads[:j]) if q == pos and s & support]
-        if not mates:
-            return
-        for i in (*mates, j):  # a lead is unpacked when it first makes a pair
-            leads[i] = leads.get(i) or pk.unpack(G[i][0])
-        lcms = [(i, tuple(map(max, leads[i], leads[j]))) for i in mates]
-        lcms = [(i, lcm) for i, lcm in lcms if sum(lcm) - twists[pos] <= last]
+        (support, pos), lead = reads[j], G[j][0]
+        lcms = [(i, pk.lcm(G[i][0], lead, pos)) for i, (s, q) in enumerate(reads[:j]) if q == pos and s & support]
+        lcms = [(i, m) for i, m in lcms if m >> pk.top <= last + pk.lift]  # the top field: twisted degree + lift
         if not lcms:
             return
-        top = max(sum(lcm) for _, lcm in lcms) - twists[pos] + pk.lift
+        top = max(m for _, m in lcms) >> pk.top
         if top > pk.cap:  # every term met while reducing a pair has at most its lcm's twisted degree
             old, pk = pk, _Packing(nvars, top, twists)
+            lcms = [(i, pk.move(m, old)) for i, m in lcms]
             G[:] = [(pk.move(lead, old), [(pk.move(m, old), c) for m, c in tail]) for lead, tail in G]
             heap[:] = [(pk.move(lcm, old), i, k) for lcm, i, k in heap]  # same order: still a heap
             std = {pk.move(m, old) for m in std}
             powers[:] = [0] * len(powers)  # read again in the new packing
             reads[:] = [read_lead(lead) for lead, _ in G]
-        for i, lcm in lcms:
-            heappush(heap, (pk.pack(lcm) + pk.at[pos], i, j))
+        for i, m in lcms:
+            heappush(heap, (m, i, j))
             pending.add((i, j))
 
     while heap:
@@ -460,7 +469,7 @@ def _buchberger(rows, twists, p: int, nvars: int, certify: bool, predict=None):
         ):
             continue  # chain criterion
         work, keys = _spoly_work(G[i], G[j], lcm, p) if i >= 0 else (inputs[j], None)
-        r = _reduce(work, G, p, guard, keys)
+        r = _reduce(work, G, p, guard, keys, std)  # std is empty, or the standard terms of the entry's degree
         if r:
             G.append(_record(r, p))
             reads.append(read_lead(G[-1][0]))

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from pnbundles import poly
 from pnbundles.betti import BettiPair
-from pnbundles.bundles import PresMatrix, random_minimal_map, verify_bundle
+from pnbundles.bundles import PresMatrix, deform_family, random_minimal_map, verify_bundle
 from pnbundles.poly import (
     _MAX_EXPONENT,
     Ideal,
@@ -44,7 +44,7 @@ from _oracles import (
 )
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
-from workloads import BUNDLE_SHAPES  # noqa: E402
+from workloads import BUNDLE_SHAPES, DEGENERATE_SHAPES, FAMILIES  # noqa: E402
 
 # the (a, b) shapes, all over P^3, of the benchmark's check-bundles and
 # check-degenerate documents
@@ -107,6 +107,40 @@ def test_packed_kernel_at_the_width_limit(gens, probe):
     # degrees far past any fixed narrow field width: the width follows the input
     p = 32003
     assert_same_as_tuple_kernel([parse_poly(g, p, 3) for g in gens], parse_poly(probe, p, 3))
+
+
+def random_term(pk, twists, j, rng):
+    """A packed term at e_j that the packing holds: deg m - a_j + max a <= cap.
+    In a third of the draws it is one variable at the largest power held,
+    which is cap when a_j = max a."""
+    room = pk.cap - pk.lift + twists[j]
+    exps = [0] * len(pk._shifts)
+    if rng.randrange(3) == 0:
+        exps[rng.randrange(len(exps))] = room
+    else:
+        for _ in range(rng.randint(0, min(room, 60))):
+            exps[rng.randrange(len(exps))] += 1
+    return pk.pack(tuple(exps)) + pk.at[j]
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("positions", [1, 2, 3])
+def test_packed_lcm_matches_the_tuple_lcm(nvars, positions):
+    # the lcm of two held terms may pass cap, up to 2 cap: no field carries, and the top field gives its twisted degree
+    rng = random.Random(10 * nvars + positions)
+    past_cap = 0
+    for degree in (1, 2, 7, 40, 1000, _MAX_EXPONENT):
+        twists = tuple(sorted(rng.randint(0, 3) for _ in range(positions)))
+        pk = poly._Packing(nvars, degree + max(twists), twists)
+        for _ in range(100):
+            j = rng.randrange(positions)
+            f, g = random_term(pk, twists, j, rng), random_term(pk, twists, j, rng)
+            exps = tuple(map(max, pk.unpack(f), pk.unpack(g)))
+            lcm = pk.lcm(f, g, j)
+            assert lcm == pk.pack(exps) + pk.at[j]
+            assert (lcm >> pk.top) - pk.lift == sum(exps) - twists[j]
+            past_cap += sum(exps) > pk.cap
+    assert past_cap > 0 or nvars == 1
 
 
 @pytest.mark.parametrize("a,b", SHAPES)
@@ -221,15 +255,74 @@ def test_verify_bundle_packs_its_rows_once_and_builds_no_poly(monkeypatch, a, b)
     assert all(old < new for old, new in zip(caps, caps[1:]))
 
 
+def bench_documents(shapes, seed):
+    """The matrices of the benchmark's check documents at a seed."""
+    rng = random.Random(seed)
+    return [PresMatrix.from_json(make(n, a, b, rng)[0]) for make, n, a, b in shapes]
+
+
+def family_matrices(family, seed, samples=3):
+    """psi of a benchmark deform family, and its fibers at a few drawn t."""
+    n, sa, sb, ba, bb = family
+    fam, rng = deform_family(BettiPair(n, sa, sb), BettiPair(n, ba, bb), 32003, seed), random.Random(seed)
+    return [fam.psi] + [fam.at(1 + rng.randrange(32002)) for _ in range(samples)]
+
+
 def test_no_pair_above_the_prediction_widens_the_packing(monkeypatch):
-    # the benchmark's first two check-bundles documents at seed 1, the disguised (1,2; 0^5) and (2,2; 0^3,1,1): the
-    # pairs whose lcms passed the first packing all lie above the prediction's last degree plus one, and are not made
-    rng = random.Random(1)
-    for make, n, a, b in BUNDLE_SHAPES[:2]:
-        m = PresMatrix.from_json(make(n, a, b, rng)[0])
-        caps = record_caps(monkeypatch)
-        assert verify_bundle(m) is True
-        assert len(caps) == 1
+    # the benchmark's check-bundles documents, and psi and fibers of its heavy deform family (1,3; 0^4,1), at seeds
+    # 1-3: no pair lies above the prediction's last degree plus one, and the first packing holds that degree
+    for seed in (1, 2, 3):
+        for m in bench_documents(BUNDLE_SHAPES, seed) + family_matrices(FAMILIES[0], seed):
+            caps = record_caps(monkeypatch)
+            assert verify_bundle(m) is True
+            assert len(caps) == 1
+
+
+def reduce_twice(monkeypatch) -> list:
+    """From now on each call of ``poly._reduce`` also reduces a copy of its
+    work with no standard terms, and checks that the remainders agree; the
+    list gets, per call, the size of the remainder when standard terms were
+    given (each one a term that skipped the scan), else None."""
+    reduce, calls = poly._reduce, []
+
+    def checked(work, records, p, guard, keys=None, std=()):
+        plain = reduce(dict(work), records, p, guard, None if keys is None else list(keys))
+        got = reduce(work, records, p, guard, keys, std)
+        assert got == plain and (not std or set(got) <= std)
+        calls.append(len(got) if std else None)
+        return got
+
+    monkeypatch.setattr(poly, "_reduce", checked)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_standard_terms_change_no_remainder_on_the_bench_shapes(monkeypatch, seed):
+    calls = reduce_twice(monkeypatch)
+    for a, b in SHAPES:
+        verify_bundle(random_minimal_map(BettiPair(3, a, b), 32003, seed))
+    assert any(calls)  # some terms skipped the scan
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_standard_terms_change_no_remainder_on_the_deform_families(monkeypatch, seed):
+    calls = reduce_twice(monkeypatch)
+    for family in FAMILIES:
+        for m in family_matrices(family, seed):
+            verify_bundle(m)
+    assert any(calls)  # some terms skipped the scan
+
+
+def test_reduction_counts_on_the_heavy_shape(monkeypatch):
+    # (1,3; 0^4,1) and its four cubics: as many reductions as the loop took before standard terms skipped the scan
+    cubics, disguised = family_matrices(FAMILIES[0], 1)[1:], bench_documents(BUNDLE_SHAPES[:4], 1)[3]
+    hidden = bench_documents(DEGENERATE_SHAPES[:2], 1)[1]
+    calls, counts = reduce_twice(monkeypatch), []
+    for m, want in [(m, True) for m in cubics] + [(disguised, True), (hidden, False)]:
+        assert verify_bundle(m) is want
+        counts.append(len(calls))
+        calls.clear()
+    assert counts == [29, 29, 29, 42, 26]
 
 
 def engine_leads(rows, twists, nvars):
